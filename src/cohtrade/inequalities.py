@@ -1,7 +1,11 @@
-"""Executable verifiers for every coherence trade-off bound, plus CSV plumbing.
+"""Every coherence trade-off bound as one entry of an ordered table.
 
-Verifier names are stable identifiers used for CSV rows, CLI addressing and
-search objectives:
+All bounds share one shape, ``C_full >= (sum of C_S over a subset family) / k``,
+with the three-tangle tau added on the right for the pure-state bounds; a
+:class:`Bound` holds the family, the divisor k and whether tau is added.
+:func:`bounds` lists the entries that apply to an input, in the order
+results are reported.  Names are stable identifiers used for CSV rows, CLI
+addressing and search objectives:
 
 * ``thm1``             half-sum pairwise bound, three qubits
 * ``eq3``              sum of single-party coherences, three qubits
@@ -18,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, TextIO, Union
+from functools import partial
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
-from .coherence import EPS_INEQ, l1_coherence, subset_coherence
-from .states import DensityOperator, PureState, SubsystemSet, density_from_pure
+from .coherence import EPS_INEQ, coherence_profile, gamma, l1_coherence, subset_coherence
+from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, density_from_pure
 from .tangle import three_tangle
 
 State = Union[PureState, DensityOperator]
@@ -53,19 +57,71 @@ def is_conjecture(name: str) -> bool:
 
 
 @dataclass(frozen=True)
-class SubsetFamily:
-    """All size-m subsets of n party labels, in lexicographic order."""
+class Bound:
+    """C_full >= (sum of C_S over ``subsets``) / ``divisor``, plus tau if ``tangle``."""
 
-    m: int
-    n: int
-    members: tuple[SubsystemSet, ...]
+    name: str
+    subsets: tuple[SubsystemSet, ...]
+    divisor: int
+    tangle: bool = False
+
+    def rhs(self, coherence: Callable[[SubsystemSet], float], tau: float = 0.0) -> float:
+        # a left fold in subset order, then one division: the builtin sum()
+        # compensates float sums from Python 3.12 on, and sum(x) / k differs
+        # from sum(x / k), either of which would move slacks in the last bit
+        total = 0.0
+        for subset in self.subsets:
+            total += coherence(subset)
+        total /= self.divisor
+        return total + tau if self.tangle else total
+
+    def evaluate(
+        self, rho: DensityOperator, tolerance: float = EPS_INEQ, tau: float = 0.0
+    ) -> InequalityResult:
+        """This bound alone: computes only its own subsets and does not validate ``rho``."""
+        rhs = self.rhs(partial(subset_coherence, rho), tau)
+        return _result(self.name, l1_coherence(rho), rhs, tolerance)
 
 
-def gamma(m: int, n: int) -> SubsetFamily:
-    if not 1 <= m <= n:
-        raise ValueError(f"subset size m={m} out of range 1..{n}")
-    members = tuple(SubsystemSet(c) for c in combinations(range(1, n + 1), m))
-    return SubsetFamily(m, n, members)
+_PAIRS = gamma(2, 3).members
+_THM1 = Bound("thm1", _PAIRS, 2)
+_EQ4 = {p: Bound(f"eq4-pivot{p}", tuple(s for s in _PAIRS if p in s), 1) for p in (1, 2, 3)}
+_EQ5 = {
+    s: Bound(f"eq5-single{s}", (SubsystemSet((s,)), SubsystemSet(sorted({1, 2, 3} - {s}))), 1)
+    for s in (1, 2, 3)
+}
+_THM3 = Bound("thm3", _PAIRS, 2, tangle=True)
+_EQ10 = Bound("eq10", gamma(1, 3).members, 1, tangle=True)
+
+
+def _singles_bound(n: int) -> Bound:
+    return Bound("eq3", gamma(1, n).members, 1)
+
+
+def corollary_name(dims, m: int) -> str:
+    return f"cor1-m{m}" if dims.all_qubits else f"cor2-m{m}"
+
+
+def _corollary_bound(dims: LocalDims, m: int) -> Bound:
+    n = dims.n_parties
+    return Bound(corollary_name(dims, m), gamma(m, n).members, math.comb(n - 1, m - 1))
+
+
+def bounds(dims: "LocalDims | Sequence[int]", pure: bool) -> list[Bound]:
+    """Every bound that applies to a pure or mixed input at ``dims``, in report order.
+
+    The three-qubit bounds come first, then the subset-family bound for every
+    m; the tangle bounds follow for pure three-qubit input only.
+    """
+    dims = _as_dims(dims)
+    three_qubit = dims.dims == (2, 2, 2)
+    table: list[Bound] = []
+    if three_qubit:
+        table += [_THM1, _singles_bound(3), *_EQ4.values(), *_EQ5.values()]
+    table += [_corollary_bound(dims, m) for m in range(1, dims.n_parties + 1)]
+    if pure and three_qubit:
+        table += [_THM3, _EQ10]
+    return table
 
 
 def _require_three_qubit(rho: DensityOperator) -> None:
@@ -73,33 +129,23 @@ def _require_three_qubit(rho: DensityOperator) -> None:
         raise ValueError(f"three-qubit state required, got dims {rho.dims.dims}")
 
 
-def _as_density(state: State) -> DensityOperator:
-    if isinstance(state, PureState):
-        return density_from_pure(state)
-    if isinstance(state, DensityOperator):
-        return state
-    raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
-
-
-def _pairwise_coherences(rho: DensityOperator) -> tuple[float, float, float]:
-    c12 = subset_coherence(rho, (1, 2))
-    c13 = subset_coherence(rho, (1, 3))
-    c23 = subset_coherence(rho, (2, 3))
-    return c12, c13, c23
+def _evaluate_tangle_bound(bound: Bound, psi: PureState, tolerance: float) -> InequalityResult:
+    if not isinstance(psi, PureState):
+        raise TypeError("pure state required: the tangle bound does not cover mixed states")
+    rho = density_from_pure(psi)
+    _require_three_qubit(rho)
+    return bound.evaluate(rho, tolerance, three_tangle(psi).tau)
 
 
 def verify_theorem1(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= (C12 + C13 + C23) / 2 for any three-qubit state."""
     _require_three_qubit(rho)
-    c12, c13, c23 = _pairwise_coherences(rho)
-    return _result("thm1", l1_coherence(rho), (c12 + c13 + c23) / 2.0, tolerance)
+    return _THM1.evaluate(rho, tolerance)
 
 
 def verify_singles_sum(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
     """Full coherence >= sum of all single-party coherences."""
-    n = rho.dims.n_parties
-    singles = sum(subset_coherence(rho, (p,)) for p in range(1, n + 1))
-    return _result("eq3", l1_coherence(rho), singles, tolerance)
+    return _singles_bound(rho.dims.n_parties).evaluate(rho, tolerance)
 
 
 def verify_additive_conjecture(
@@ -113,9 +159,7 @@ def verify_additive_conjecture(
     _require_three_qubit(rho)
     if pivot not in (1, 2, 3):
         raise ValueError(f"pivot must be 1, 2 or 3, got {pivot}")
-    pairs = [p for p in ((1, 2), (1, 3), (2, 3)) if pivot in p]
-    rhs = sum(subset_coherence(rho, p) for p in pairs)
-    return _result(f"eq4-pivot{pivot}", l1_coherence(rho), rhs, tolerance)
+    return _EQ4[pivot].evaluate(rho, tolerance)
 
 
 def verify_marginal_split(
@@ -125,13 +169,7 @@ def verify_marginal_split(
     _require_three_qubit(rho)
     if single not in (1, 2, 3):
         raise ValueError(f"single must be 1, 2 or 3, got {single}")
-    complement = tuple(p for p in (1, 2, 3) if p != single)
-    rhs = subset_coherence(rho, (single,)) + subset_coherence(rho, complement)
-    return _result(f"eq5-single{single}", l1_coherence(rho), rhs, tolerance)
-
-
-def corollary_name(dims, m: int) -> str:
-    return f"cor1-m{m}" if dims.all_qubits else f"cor2-m{m}"
+    return _EQ5[single].evaluate(rho, tolerance)
 
 
 def verify_corollary1(
@@ -142,73 +180,43 @@ def verify_corollary1(
     Works for arbitrary local dimensions; m = n-1 reproduces the (n-1)-partite
     bound and m = 2, n = 3 reproduces the half-sum bound.
     """
-    n = rho.dims.n_parties
-    family = gamma(m, n)
-    total = sum(subset_coherence(rho, a) for a in family.members)
-    rhs = total / math.comb(n - 1, m - 1)
-    return _result(corollary_name(rho.dims, m), l1_coherence(rho), rhs, tolerance)
+    return _corollary_bound(rho.dims, m).evaluate(rho, tolerance)
 
 
 def verify_theorem3(psi: PureState, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= (C12 + C13 + C23) / 2 + tau for pure three-qubit states."""
-    if not isinstance(psi, PureState):
-        raise TypeError("pure state required: the tangle bound does not cover mixed states")
-    rho = density_from_pure(psi)
-    _require_three_qubit(rho)
-    c12, c13, c23 = _pairwise_coherences(rho)
-    tau = three_tangle(psi).tau
-    return _result("thm3", l1_coherence(rho), (c12 + c13 + c23) / 2.0 + tau, tolerance)
+    return _evaluate_tangle_bound(_THM3, psi, tolerance)
 
 
 def verify_eq10(psi: PureState, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= C1 + C2 + C3 + tau for pure three-qubit states."""
-    if not isinstance(psi, PureState):
-        raise TypeError("pure state required: the tangle bound does not cover mixed states")
-    rho = density_from_pure(psi)
-    _require_three_qubit(rho)
-    singles = sum(subset_coherence(rho, (p,)) for p in (1, 2, 3))
-    tau = three_tangle(psi).tau
-    return _result("eq10", l1_coherence(rho), singles + tau, tolerance)
+    return _evaluate_tangle_bound(_EQ10, psi, tolerance)
 
 
 def suite_names(dims, pure: bool) -> list[str]:
-    """Registry-ordered verifier names applicable to the given input."""
-    names: list[str] = []
-    if dims.dims == (2, 2, 2):
-        names.append("thm1")
-        names.append("eq3")
-        names.extend(f"eq4-pivot{p}" for p in (1, 2, 3))
-        names.extend(f"eq5-single{s}" for s in (1, 2, 3))
-    names.extend(corollary_name(dims, m) for m in range(1, dims.n_parties + 1))
-    if pure and dims.dims == (2, 2, 2):
-        names.extend(["thm3", "eq10"])
-    return names
+    """Table-ordered names of the bounds applicable to the given input."""
+    return [b.name for b in bounds(dims, pure)]
 
 
 def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResult]:
-    """Run every applicable verifier, in registry order.
+    """Evaluate every bound of :func:`bounds`, in table order.
 
-    Pure-only verifiers are skipped for mixed input and three-qubit-only
-    verifiers for other dimensions; the subset-family bound runs for every m.
-    Input is validated up front so a malformed state yields no partial results.
+    The coherence of every reduction, and tau for a pure three-qubit state,
+    are computed once and shared by all bounds.  A density operator is
+    validated up front so a malformed state yields no partial results; a
+    pure state is checked at construction and its projector is a state.
     """
-    psi = state if isinstance(state, PureState) else None
-    rho = _as_density(state).validate()
-    dims = rho.dims
-    results: list[InequalityResult] = []
-    if dims.dims == (2, 2, 2):
-        results.append(verify_theorem1(rho, tolerance))
-        results.append(verify_singles_sum(rho, tolerance))
-        for pivot in (1, 2, 3):
-            results.append(verify_additive_conjecture(rho, pivot, tolerance))
-        for single in (1, 2, 3):
-            results.append(verify_marginal_split(rho, single, tolerance))
-    for m in range(1, dims.n_parties + 1):
-        results.append(verify_corollary1(rho, m, tolerance))
-    if psi is not None and dims.dims == (2, 2, 2):
-        results.append(verify_theorem3(psi, tolerance))
-        results.append(verify_eq10(psi, tolerance))
-    return results
+    if isinstance(state, PureState):
+        rho = density_from_pure(state)
+    elif isinstance(state, DensityOperator):
+        rho = state.validate()
+    else:
+        raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
+    table = bounds(rho.dims, isinstance(state, PureState))
+    coherence = coherence_profile(rho).by_subset
+    lhs = coherence[SubsystemSet(tuple(range(1, rho.dims.n_parties + 1)))]
+    tau = three_tangle(state).tau if any(b.tangle for b in table) else 0.0
+    return [_result(b.name, lhs, b.rhs(coherence.__getitem__, tau), tolerance) for b in table]
 
 
 # ---------------------------------------------------------------------------

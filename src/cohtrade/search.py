@@ -8,17 +8,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .inequalities import (
-    InequalityResult,
-    verify_additive_conjecture,
-    verify_corollary1,
-    verify_eq10,
-    verify_marginal_split,
-    verify_singles_sum,
-    verify_theorem1,
-    verify_theorem3,
-)
+from .inequalities import InequalityResult, bounds, corollary_name
 from .states import LocalDims, PureState, _as_dims, complex_normals, density_from_pure
+from .tangle import three_tangle
 
 Objective = Callable[[PureState], InequalityResult]
 
@@ -43,36 +35,28 @@ class SearchOutcome:
 
 
 def resolve_objective(name: str, dims: "LocalDims | Sequence[int]") -> Objective:
-    """Map a verifier name to a pure-state slack evaluator at the given dims."""
+    """Map a bound name to a pure-state slack evaluator at the given dims.
+
+    The evaluator computes only that bound's subset coherences.  Either
+    corollary prefix names the size-m subset-family bound, and ``thm2`` is
+    its m = n-1 member.
+    """
     dims = _as_dims(dims)
     n = dims.n_parties
-    three_qubit = dims.dims == (2, 2, 2)
-
-    table: dict[str, Objective] = {}
-    if three_qubit:
-        table["thm1"] = lambda psi: verify_theorem1(density_from_pure(psi))
-        table["eq3"] = lambda psi: verify_singles_sum(density_from_pure(psi))
-        for p in (1, 2, 3):
-            table[f"eq4-pivot{p}"] = (
-                lambda psi, p=p: verify_additive_conjecture(density_from_pure(psi), p)
-            )
-            table[f"eq5-single{p}"] = (
-                lambda psi, p=p: verify_marginal_split(density_from_pure(psi), p)
-            )
-        table["thm3"] = verify_theorem3
-        table["eq10"] = verify_eq10
+    table = {b.name: b for b in bounds(dims, pure=True)}
     for m in range(1, n + 1):
-        runner: Objective = lambda psi, m=m: verify_corollary1(density_from_pure(psi), m)
-        table[f"cor1-m{m}"] = runner
-        table[f"cor2-m{m}"] = runner
+        table[f"cor1-m{m}"] = table[f"cor2-m{m}"] = table[corollary_name(dims, m)]
     if n >= 2:
-        table["thm2"] = table[f"cor1-m{n - 1}"]
+        table["thm2"] = table[corollary_name(dims, n - 1)]
 
     try:
-        return table[name]
+        bound = table[name]
     except KeyError:
         known = ", ".join(sorted(table))
         raise ValueError(f"unknown objective {name!r} at dims {dims.dims}; known: {known}")
+    if bound.tangle:
+        return lambda psi: bound.evaluate(density_from_pure(psi), tau=three_tangle(psi).tau)
+    return lambda psi: bound.evaluate(density_from_pure(psi))
 
 
 def _nelder_mead(

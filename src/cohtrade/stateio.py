@@ -40,6 +40,8 @@ def state_from_dict(payload: dict) -> State:
     for key in ("dims", "kind", "data"):
         if key not in payload:
             raise InvalidStateError(f"state file is missing the '{key}' field")
+    if not isinstance(payload["dims"], list):
+        raise InvalidStateError(f"dims must be a JSON list of integers, got {payload['dims']!r}")
     dims = LocalDims(tuple(payload["dims"]))
     kind = payload["kind"]
     if kind not in ("pure", "density"):

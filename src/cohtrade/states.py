@@ -28,6 +28,24 @@ class InvalidStateError(ValueError):
     """Raised when a state object violates one of its defining invariants."""
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise InvalidStateError(f"every {what} entry must be finite, got NaN or inf")
+
+
+def _require_hermitian(mat: np.ndarray) -> None:
+    _require_finite(mat, "matrix")
+    if not np.abs(mat - mat.conj().T).max() <= EPS_HERM:
+        raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
+
+
+def _require_unit_trace_hermitian(mat: np.ndarray) -> None:
+    _require_hermitian(mat)
+    trace = complex(np.trace(mat))
+    if not abs(trace - 1.0) <= EPS_NORM:
+        raise InvalidStateError(f"trace {trace!r} deviates from 1 by more than {EPS_NORM}")
+
+
 def _as_dims(dims: "LocalDims | Sequence[int]") -> "LocalDims":
     return dims if isinstance(dims, LocalDims) else LocalDims(tuple(dims))
 
@@ -43,7 +61,10 @@ class LocalDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+            raise InvalidStateError(f"every local dimension must be an integer, got {dims!r}")
+        dims = tuple(int(d) for d in dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise InvalidStateError("dims must list at least one party")
@@ -118,23 +139,22 @@ class PureState:
                 f"amplitude vector has length {amps.shape[0]}, expected {dims.total_dim}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > EPS_NORM:
+        if not abs(norm_sq - 1.0) <= EPS_NORM:  # NaN fails this test
+            _require_finite(amps, "amplitude")
             raise InvalidStateError(
                 f"squared norm {norm_sq!r} deviates from 1 by more than {EPS_NORM}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    def validate(self) -> "PureState":
-        return self  # invariants are enforced at construction
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace matrix over a tensor-product space.
 
-    Construction checks shape, Hermiticity and trace; :meth:`validate`
-    re-checks those and adds the positivity test, which needs a spectrum.
+    Construction checks shape, finiteness, Hermiticity and trace;
+    :meth:`validate` re-checks those (results of trusted operations skip
+    construction) and adds the positivity test, which needs a spectrum.
     """
 
     dims: LocalDims
@@ -147,22 +167,14 @@ class DensityOperator:
         mat = np.array(self.mat, dtype=np.complex128)
         if mat.shape != (d, d):
             raise InvalidStateError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        if np.abs(mat - mat.conj().T).max() > EPS_HERM:
-            raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > EPS_NORM:
-            raise InvalidStateError(f"trace {trace!r} deviates from 1 by more than {EPS_NORM}")
+        _require_unit_trace_hermitian(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
     def validate(self) -> "DensityOperator":
-        if np.abs(self.mat - self.mat.conj().T).max() > EPS_HERM:
-            raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
-        trace = complex(np.trace(self.mat))
-        if abs(trace - 1.0) > EPS_NORM:
-            raise InvalidStateError(f"trace {trace!r} deviates from 1 by more than {EPS_NORM}")
+        _require_unit_trace_hermitian(self.mat)
         min_eig = float(np.linalg.eigvalsh(self.mat)[0])
-        if min_eig < -EPS_PSD:
+        if not min_eig >= -EPS_PSD:
             raise InvalidStateError(
                 f"minimum eigenvalue {min_eig!r} below -{EPS_PSD}: matrix is not positive"
             )
@@ -255,8 +267,7 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > EPS_HERM:
-        raise ValueError(f"matrix is not Hermitian within {EPS_HERM}")
+    _require_hermitian(mat)
     return np.linalg.eigvalsh(mat)[::-1]
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherence import RESIDUAL_WEIGHTS
 from .states import DensityOperator, PureState, density_from_pure, partial_trace
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -90,35 +91,8 @@ def ckw_tangle_oracle(psi: PureState) -> float:
     return max(0.0, 4.0 * det_a - c_ab**2 - c_ac**2)
 
 
-# Pairwise amplitude-magnitude products |a_r a_c| entering the pure-state
-# residual D'/2; rows/columns are binary labels i1 i2 i3.  Pairs differing
-# in exactly two parties enter once, complementary pairs enter twice.
-DPRIME_SINGLE_PAIRS: tuple[tuple[int, int], ...] = (
-    (0b000, 0b011),
-    (0b000, 0b101),
-    (0b000, 0b110),
-    (0b001, 0b010),
-    (0b001, 0b100),
-    (0b001, 0b111),
-    (0b010, 0b100),
-    (0b010, 0b111),
-    (0b011, 0b110),
-    (0b011, 0b101),
-    (0b100, 0b111),
-    (0b101, 0b110),
-)
-DPRIME_DOUBLE_PAIRS: tuple[tuple[int, int], ...] = (
-    (0b000, 0b111),
-    (0b001, 0b110),
-    (0b010, 0b101),
-    (0b011, 0b100),
-)
-
-
 def dprime_slack(psi: PureState) -> float:
-    """Pure-state residual D'/2; satisfies D'/2 >= tau within tolerance."""
+    """Pure-state residual D'/2 = |a| W |a| / 2; satisfies D'/2 >= tau within tolerance."""
     _require_three_qubits(psi)
     a = np.abs(psi.amps)
-    single = sum(a[r] * a[c] for r, c in DPRIME_SINGLE_PAIRS)
-    double = sum(a[r] * a[c] for r, c in DPRIME_DOUBLE_PAIRS)
-    return float(single + 2.0 * double)
+    return float(a @ RESIDUAL_WEIGHTS @ a / 2.0)

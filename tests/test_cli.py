@@ -55,6 +55,8 @@ def test_density_state_file_round_trip(tmp_path):
         ({"dims": [2], "kind": "pure", "data": [[1, 0], [1, 0]]}, "norm"),
         ({"kind": "pure", "data": [[1, 0], [0, 0]]}, "dims"),
         ({"dims": [2, 1], "kind": "pure", "data": [[1, 0], [0, 0]]}, "dimension"),
+        ({"dims": "22", "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "list"),
+        ({"dims": [2.7, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "integer"),
     ],
 )
 def test_state_file_rejection_names_invariant(tmp_path, payload, fragment):
@@ -132,6 +134,24 @@ def test_verify_invalid_state_exits_two(tmp_path, capsys):
     rc = cli_main(["verify", str(path)])
     assert rc == 2
     assert "norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,data",
+    [
+        ("pure", [[float("nan"), 0], [0.5, 0], [0.5, 0], [0.5, 0]]),
+        ("pure", [[float("inf"), 0], [0.5, 0], [0.5, 0], [0.5, 0]]),
+        ("density", [[float("nan"), 0], [0, 0], [0, 0], [float("nan"), 0]]),
+        ("density", [[0.5, 0], [float("inf"), 0], [float("inf"), 0], [0.5, 0]]),
+    ],
+)
+def test_verify_non_finite_state_exits_two(tmp_path, capsys, kind, data):
+    dims = [2, 2] if kind == "pure" else [2]
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"dims": dims, "kind": kind, "data": data}))
+    rc = cli_main(["verify", str(path)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

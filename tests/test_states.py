@@ -88,6 +88,16 @@ def test_local_dims_rejects_degenerate_parties():
         LocalDims(())
 
 
+@pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), (True, 2), ("2", "2")])
+def test_local_dims_rejects_non_integer_entries(dims):
+    with pytest.raises(InvalidStateError, match="integer"):
+        LocalDims(dims)
+
+
+def test_local_dims_accepts_numpy_integers():
+    assert LocalDims(tuple(np.array([2, 3]))).dims == (2, 3)
+
+
 def test_local_dims_totals():
     dims = LocalDims((2, 3, 4))
     assert dims.n_parties == 3
@@ -112,6 +122,24 @@ def test_pure_state_requires_unit_norm():
         PureState(LocalDims((2,)), np.array([1.0, 1.0]))
     with pytest.raises(InvalidStateError):
         PureState(LocalDims((2, 2)), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(InvalidStateError, match="finite"):
+        PureState(LocalDims((2, 2)), np.array([bad, 0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_checks_reject_non_finite_entries(bad):
+    dims = LocalDims((2,))
+    for mat in (np.diag([bad, bad]), np.array([[0.5, bad], [bad, 0.5]])):
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityOperator(dims, mat)
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityOperator._trusted(dims, mat.astype(np.complex128)).validate()
+        with pytest.raises(InvalidStateError, match="finite"):
+            hermitian_eigenvalues(mat)
 
 
 def test_density_operator_structural_checks():
