@@ -20,7 +20,7 @@ from .coherence import (
     subset_coherence,
     theorem1_slack_D,
 )
-from .cli import TrialReport, cli_main, ensemble_reports
+from .ensemble import TrialReport, ensemble_reports
 from .families import (
     FAMILIES,
     FamilyPoint,
@@ -80,6 +80,17 @@ from .tangle import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the CLI is imported on first use, so that ``python -m cohtrade.cli``
+    # runs the module once, as __main__, rather than after a package import
+    if name == "cli_main":
+        from .cli import cli_main
+
+        return cli_main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Bound",

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .coherence import EPS_INEQ
+from .ensemble import ensemble_reports
 from .families import FAMILIES, QUANTITIES, default_grid, family_sweep
 from .inequalities import (
     CSV_HEADER,
@@ -17,57 +17,11 @@ from .inequalities import (
     write_results_csv,
 )
 from .search import minimize_slack
-from .states import InvalidStateError, LocalDims, sample_ginibre_mixed, sample_haar_pure
+from .states import InvalidStateError, LocalDims, sample_haar_pure
 from .stateio import read_state_file
 from .tangle import ckw_tangle_oracle, dprime_slack, three_tangle
 
 _PARAM_NAMES = {"ghz": ("phi",), "w": ("theta", "phi"), "two-term": ("alpha",)}
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """Per-verifier aggregate over a random ensemble."""
-
-    name: str
-    trials: int
-    violations: int
-    min_slack: float
-    argmin_seed: int
-    tolerance: float
-
-
-def ensemble_reports(
-    dims: LocalDims,
-    trials: int,
-    seed: int,
-    mixed: bool = False,
-    rank: int | None = None,
-    tolerance: float = EPS_INEQ,
-) -> list[TrialReport]:
-    """Run the verifier suite on ``trials`` sampled states; trial t uses seed + t."""
-    stats: dict[str, list] = {}
-    order: list[str] = []
-    for t in range(trials):
-        trial_seed = seed + t
-        if mixed:
-            state = sample_ginibre_mixed(dims, rank if rank is not None else dims.total_dim, trial_seed)
-        else:
-            state = sample_haar_pure(dims, trial_seed)
-        for r in run_suite(state, tolerance):
-            if r.name not in stats:
-                stats[r.name] = [0, 0, float("inf"), trial_seed]
-                order.append(r.name)
-            entry = stats[r.name]
-            entry[0] += 1
-            if not r.holds:
-                entry[1] += 1
-            if r.slack < entry[2]:
-                entry[2] = r.slack
-                entry[3] = trial_seed
-    return [
-        TrialReport(name, s[0], s[1], s[2], s[3], tolerance)
-        for name, s in ((name, stats[name]) for name in order)
-    ]
 
 
 def _print_result_table(results: list[InequalityResult], out) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence, TextIO, Union
 
 from .coherence import EPS_INEQ, coherence_profile, gamma, l1_coherence, subset_coherence
@@ -113,7 +113,12 @@ def bounds(dims: "LocalDims | Sequence[int]", pure: bool) -> list[Bound]:
     The three-qubit bounds come first, then the subset-family bound for every
     m; the tangle bounds follow for pure three-qubit input only.
     """
-    dims = _as_dims(dims)
+    return list(_bound_table(_as_dims(dims), bool(pure)))
+
+
+@lru_cache(maxsize=None)
+def _bound_table(dims: LocalDims, pure: bool) -> tuple[Bound, ...]:
+    # cached: the suite looks the table up for every state or stacked chunk
     three_qubit = dims.dims == (2, 2, 2)
     table: list[Bound] = []
     if three_qubit:
@@ -121,7 +126,7 @@ def bounds(dims: "LocalDims | Sequence[int]", pure: bool) -> list[Bound]:
     table += [_corollary_bound(dims, m) for m in range(1, dims.n_parties + 1)]
     if pure and three_qubit:
         table += [_THM3, _EQ10]
-    return table
+    return tuple(table)
 
 
 def _require_three_qubit(rho: DensityOperator) -> None:

@@ -100,7 +100,10 @@ class SubsystemSet:
     parties: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parties = tuple(int(p) for p in self.parties)
+        parties = tuple(self.parties)
+        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in parties):
+            raise ValueError(f"party indices must be integers, got {parties!r}")
+        parties = tuple(int(p) for p in parties)
         object.__setattr__(self, "parties", parties)
         if not parties:
             raise ValueError("subsystem set must be nonempty")
@@ -147,6 +150,15 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, dims: LocalDims, amps: np.ndarray) -> "PureState":
+        # fast path for freshly sampled rows that passed the same checks
+        amps.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "dims", dims)
+        object.__setattr__(obj, "amps", amps)
+        return obj
+
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -192,6 +204,24 @@ class DensityOperator:
         object.__setattr__(obj, "dims", dims)
         object.__setattr__(obj, "mat", mat)
         return obj
+
+
+def validate_stack(dims: LocalDims, mats: np.ndarray) -> None:
+    """:meth:`DensityOperator.validate` for every matrix of a ``(B, D, D)`` stack.
+
+    The checks run on the whole stack with one batched ``eigvalsh``.  If any
+    matrix fails, the matrices are validated one by one in stack order, so
+    the first failing one raises its own diagnostic.
+    """
+    skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_dev = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
+    ok = (skew <= EPS_HERM) & (trace_dev <= EPS_NORM)  # NaN fails both tests
+    if ok.all():
+        ok = np.linalg.eigvalsh(mats)[:, 0] >= -EPS_PSD
+        if ok.all():
+            return
+    for mat in mats:
+        DensityOperator._trusted(dims, mat).validate()
 
 
 def encode_index(digits: Sequence[int], dims: "LocalDims | Sequence[int]") -> int:
@@ -271,20 +301,45 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)[::-1]
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    radius = np.sqrt(-2.0 * np.log1p(-u1))  # log(1 - u1), safe at u1 = 0
+    return radius * np.exp(2j * np.pi * u2)
+
+
 def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
     """Standard complex Gaussians (Re and Im each N(0,1)) via Box-Muller."""
     u1 = rng.random(size)
     u2 = rng.random(size)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # log(1 - u1), safe at u1 = 0
-    return radius * np.exp(2j * np.pi * u2)
+    return _box_muller(u1, u2)
+
+
+def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -> np.ndarray:
+    """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
+
+    Each seed gets its own generator; one Box-Muller transform and one
+    normalization serve the whole stack, and every row passes the checks of
+    :class:`PureState` (a failing row raises its own diagnostic).
+    """
+    dims = _as_dims(dims)
+    u = np.empty((2, len(seeds), dims.total_dim))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=u[0, row])
+        rng.random(out=u[1, row])
+    z = _box_muller(u[0], u[1])
+    # np.linalg.norm of one row: the real and imaginary parts as two dot products
+    z /= np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+    unit = np.abs(np.vecdot(z, z).real - 1.0) <= EPS_NORM  # NaN fails this test
+    if not unit.all():
+        for row in np.flatnonzero(~unit):
+            PureState(dims, z[row])
+    return z
 
 
 def sample_haar_pure(dims: "LocalDims | Sequence[int]", seed: int) -> PureState:
     """Haar-uniform pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dims = _as_dims(dims)
-    rng = np.random.default_rng(seed)
-    z = complex_normals(rng, dims.total_dim)
-    return PureState(dims, z / np.linalg.norm(z))
+    return PureState._trusted(dims, sample_haar_stack(dims, (seed,))[0])
 
 
 def sample_ginibre_mixed(

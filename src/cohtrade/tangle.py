@@ -50,6 +50,55 @@ def three_tangle(psi: PureState) -> TangleBreakdown:
     return TangleBreakdown(complex(d1), complex(d2), complex(d3), float(tau))
 
 
+_NEGATE_RE = np.array([[[-1.0]], [[1.0]]])
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of (re, im) pairs stacked on axis 0, rounded as numpy rounds the
+    product of two complex scalars: (xr*yr - xi*yi, xr*yi + xi*yr).
+
+    Array complex multiplies may fuse a product into the add and round
+    differently, so the pairs are multiplied in real arithmetic.
+    """
+    return x[0] * y + x[1] * (y[::-1] * _NEGATE_RE)
+
+
+# The terms of three_tangle as products over a pool of factors.  Pool columns
+# 0-7 are the amplitudes; level 1 appends 8-15, the squares of amplitudes 0,
+# 1, 2, 4, 7, 6, 5, 3, and 16-23, the first two factors of the six d2 terms
+# and the two d3 terms.  Level 2 multiplies squares 8-11 by 12-15 (the d1
+# terms) and 16-23 by their third factor; level 3 multiplies those by their
+# fourth.  Each product is taken left to right, as the scalar formula does.
+_LEVEL1 = np.array([[0, 1, 2, 4, 7, 6, 5, 3, 0, 0, 0, 3, 3, 5, 0, 7],
+                    [0, 1, 2, 4, 7, 6, 5, 3, 7, 7, 7, 4, 4, 2, 6, 1]])
+_LEVEL2 = np.array([[8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23],
+                    [12, 13, 14, 15, 3, 5, 6, 5, 6, 6, 5, 2]])
+_LEVEL3 = np.array([4, 2, 1, 2, 1, 1, 3, 4])
+
+
+def three_tangle_stack(amps: np.ndarray) -> np.ndarray:
+    """``three_tangle(psi).tau`` for every row of a ``(B, 8)`` amplitude stack.
+
+    Bit-identical to the scalar formula: every complex product and sum is
+    taken in the same order, the modulus is ``np.hypot`` as in ``abs`` of a
+    complex scalar, and the term sums are left folds (``np.add.accumulate``;
+    a reduction may sum pairwise).
+    """
+    if amps.ndim != 2 or amps.shape[1] != 8:
+        raise ValueError(f"(B, 8) three-qubit amplitude stack required, got shape {amps.shape}")
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    a = amps.view(np.float64).reshape(len(amps), 8, 2).T  # (re/im, basis, B)
+    level1 = _cmul(a[:, _LEVEL1[0]], a[:, _LEVEL1[1]])
+    pool = np.concatenate((a, level1), axis=1)
+    level2 = _cmul(pool[:, _LEVEL2[0]], pool[:, _LEVEL2[1]])
+    level3 = _cmul(level2[:, 4:], a[:, _LEVEL3])
+    d1 = np.add.accumulate(level2[:, :4], axis=1)[:, -1]
+    d2 = np.add.accumulate(level3[:, :6], axis=1)[:, -1]
+    d3 = level3[:, 6] + level3[:, 7]
+    re, im = d1 - 2.0 * d2 + 4.0 * d3
+    return 4.0 * np.hypot(re, im)
+
+
 def wootters_concurrence(rho: DensityOperator) -> float:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) from the spin-flip spectrum.
 
@@ -65,19 +114,6 @@ def wootters_concurrence(rho: DensityOperator) -> float:
     psi = v * np.sqrt(np.clip(w, 0.0, None))
     lam = np.linalg.svd(psi.T @ _SYSY @ psi, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def spin_flip_spectrum_direct(rho: DensityOperator) -> np.ndarray:
-    """Descending sqrt-eigenvalues of rho (sysy) rho* (sysy) via a general eigensolve.
-
-    Reference route for cross-checking :func:`wootters_concurrence`; accurate
-    only to ~1e-7 absolute for rank-deficient inputs.
-    """
-    if rho.dims.dims != (2, 2):
-        raise ValueError(f"two-qubit state required, got dims {rho.dims.dims}")
-    flipped = _SYSY @ rho.mat.conj() @ _SYSY
-    evals = np.linalg.eigvals(rho.mat @ flipped)
-    return np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]
 
 
 def ckw_tangle_oracle(psi: PureState) -> float:

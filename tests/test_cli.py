@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cohtrade
 from cohtrade import (
     cli_main,
     ensemble_reports,
@@ -265,6 +269,20 @@ def test_oracle_subcommand(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "agreement within 1e-8: yes" in out
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package must not import the CLI, or ``-m cohtrade.cli`` runs it twice
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohtrade.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohtrade.cli",
+         "oracle", "--trials", "1"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "agreement within 1e-8: yes" in done.stdout
 
 
 def test_help_and_missing_subcommand():

@@ -117,6 +117,15 @@ def test_subsystem_set_invariants():
         SubsystemSet((0, 1))
 
 
+def test_subsystem_set_rejects_non_integer_labels():
+    with pytest.raises(ValueError, match="integer"):
+        SubsystemSet((1.7, 2.2))
+    with pytest.raises(ValueError, match="integer"):
+        SubsystemSet((True, 2))
+    assert SubsystemSet(np.array([1, 3])).parties == (1, 3)
+    assert all(type(p) is int for p in SubsystemSet((np.int64(2), np.int32(4))).parties)
+
+
 def test_pure_state_requires_unit_norm():
     with pytest.raises(InvalidStateError):
         PureState(LocalDims((2,)), np.array([1.0, 1.0]))

@@ -19,10 +19,22 @@ from cohtrade import (
     w_state,
     wootters_concurrence,
 )
-from cohtrade.tangle import spin_flip_spectrum_direct
+from cohtrade.states import sample_haar_stack
+from cohtrade.tangle import _SYSY, three_tangle_stack
 
 EPS = 1e-9
 THREE_QUBITS = LocalDims((2, 2, 2))
+
+
+def spin_flip_spectrum_direct(rho):
+    """Descending sqrt-eigenvalues of rho (sysy) rho* (sysy) via a general eigensolve.
+
+    Reference route for cross-checking :func:`wootters_concurrence`; accurate
+    only to ~1e-7 absolute for rank-deficient inputs.
+    """
+    flipped = _SYSY @ rho.mat.conj() @ _SYSY
+    evals = np.linalg.eigvals(rho.mat @ flipped)
+    return np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]
 
 
 def permute_qubits(psi, perm):
@@ -174,3 +186,22 @@ def test_dprime_consistent_with_pairwise_bound(haar_three_qubit):
 def test_dprime_rejects_wrong_dims():
     with pytest.raises(ValueError):
         dprime_slack(sample_haar_pure((2, 2), 1))
+
+
+def test_stacked_tangle_equals_scalar_formula():
+    # 10^4 Haar states, stacked whole and in small stacks (a one-row stack
+    # must fold its terms in the same order as a wide one)
+    amps = sample_haar_stack(THREE_QUBITS, range(10_000))
+    reference = [three_tangle(PureState(THREE_QUBITS, row)).tau for row in amps]
+    assert three_tangle_stack(amps).tolist() == reference
+    for start, size in ((0, 1), (17, 2), (40, 3), (123, 8)):
+        part = three_tangle_stack(amps[start : start + size]).tolist()
+        assert part == reference[start : start + size]
+    assert three_tangle_stack(np.array([ghz_state(np.pi / 4).amps])).tolist() == [
+        three_tangle(ghz_state(np.pi / 4)).tau
+    ]
+
+
+def test_stacked_tangle_rejects_other_shapes():
+    with pytest.raises(ValueError, match="three-qubit"):
+        three_tangle_stack(np.zeros((2, 4), dtype=complex))
