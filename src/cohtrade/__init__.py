@@ -10,10 +10,9 @@ and a batch CLI for large-scale numerical verification.
 
 from .coherence import (
     EPS_INEQ,
-    CoherenceProfile,
     SubsetFamily,
     THEOREM1_D_TERMS,
-    coherence_profile,
+    coherence_stack,
     correlated_coherence,
     gamma,
     l1_coherence,
@@ -42,6 +41,7 @@ from .inequalities import (
     parse_results_csv,
     run_suite,
     suite_names,
+    suite_stack,
     verify_additive_conjecture,
     verify_corollary1,
     verify_eq10,
@@ -56,6 +56,7 @@ from .states import (
     EPS_HERM,
     EPS_NORM,
     EPS_PSD,
+    MAX_TOTAL_DIM,
     DensityOperator,
     InvalidStateError,
     LocalDims,
@@ -95,7 +96,6 @@ def __getattr__(name: str):
 __all__ = [
     "Bound",
     "CSV_HEADER",
-    "CoherenceProfile",
     "DensityOperator",
     "EPS_HERM",
     "EPS_INEQ",
@@ -106,6 +106,7 @@ __all__ = [
     "InequalityResult",
     "InvalidStateError",
     "LocalDims",
+    "MAX_TOTAL_DIM",
     "PureState",
     "SearchOutcome",
     "SubsetFamily",
@@ -118,7 +119,7 @@ __all__ = [
     "ckw_tangle_oracle",
     "cli_main",
     "closed_forms",
-    "coherence_profile",
+    "coherence_stack",
     "correlated_coherence",
     "decode_index",
     "default_grid",
@@ -146,6 +147,7 @@ __all__ = [
     "state_to_dict",
     "subset_coherence",
     "suite_names",
+    "suite_stack",
     "theorem1_slack_D",
     "three_tangle",
     "two_term_state",

@@ -91,7 +91,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    dims = LocalDims(args.dims)
+    dims = args.dims
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
@@ -103,7 +103,7 @@ def _cmd_sample(args) -> int:
         return 2
     reports = ensemble_reports(dims, args.trials, args.seed, args.mixed, args.rank, args.tolerance)
     kind = "mixed" if args.mixed else "pure"
-    print(f"dims {args.dims} {kind}: {args.trials} trials, base seed {args.seed}")
+    print(f"dims {dims.dims} {kind}: {args.trials} trials, base seed {args.seed}")
     print(f"{'name':<14}{'trials':<9}{'violations':<12}{'min slack':<26}extremal seed")
     for rep in reports:
         print(
@@ -139,7 +139,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    dims = LocalDims(args.dims)
+    dims = args.dims
     try:
         outcome = minimize_slack(
             args.objective, dims, args.restarts, args.seed, args.iterations, args.rounds
@@ -174,14 +174,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _dims_arg(text: str) -> tuple[int, ...]:
+def _dims_arg(text: str) -> LocalDims:
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"dims must be comma-separated integers, got {text!r}")
-    if not dims or any(d < 2 for d in dims):
-        raise argparse.ArgumentTypeError(f"every local dimension must be >= 2, got {text!r}")
-    return dims
+    try:
+        return LocalDims(dims)
+    except InvalidStateError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="minimize a verifier's slack over pure states")
     p.add_argument("--objective", required=True)
-    p.add_argument("--dims", type=_dims_arg, default=(2, 2, 2))
+    p.add_argument("--dims", type=_dims_arg, default="2,2,2")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=200)

@@ -5,17 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .states import (
-    DensityOperator,
-    LocalDims,
-    SubsystemSet,
-    _as_subsystem,
-    partial_trace,
-)
+from .states import DensityOperator, LocalDims, SubsystemSet, _as_subsystem, partial_trace
+from .states import _reduction_plan, _require_three_qubits
 
 EPS_INEQ = 1e-9
 
@@ -66,32 +61,30 @@ def gamma(m: int, n: int) -> SubsetFamily:
     return SubsetFamily(m, n, members)
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceProfile:
-    """Coherence of every requested reduction, keyed by subsystem."""
-
-    dims: LocalDims
-    by_subset: Mapping[SubsystemSet, float]
-
-    def value(self, parties: "SubsystemSet | Iterable[int]") -> float:
-        return self.by_subset[_as_subsystem(parties)]
-
-    def sum_over_size(self, m: int) -> float:
-        return sum(v for s, v in self.by_subset.items() if len(s) == m)
+@lru_cache(maxsize=None)
+def stack_subsets(n: int) -> tuple[SubsystemSet, ...]:
+    """Row order of :func:`coherence_stack`: sizes 1..n in turn, each as :func:`gamma` lists it."""
+    return tuple(s for m in range(1, n + 1) for s in gamma(m, n).members)
 
 
-def coherence_profile(
-    rho: DensityOperator, sizes: Sequence[int] | None = None
-) -> CoherenceProfile:
-    """Compute C_a for every subset a of each requested size (default: all sizes)."""
-    n = rho.dims.n_parties
-    if sizes is None:
-        sizes = range(1, n + 1)
-    by_subset: dict[SubsystemSet, float] = {}
-    for m in sizes:
-        for subset in gamma(m, n).members:
-            by_subset[subset] = subset_coherence(rho, subset)
-    return CoherenceProfile(rho.dims, by_subset)
+def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
+    """l1 coherence of every reduction of each matrix in a ``(B, D, D)`` stack, ``(2^n - 1, B)``.
+
+    Row i is subset ``stack_subsets(n)[i]``, so the last row is the full
+    coherence.  Every entry is bit-identical to :func:`subset_coherence` on
+    that matrix alone.
+    """
+    tensor = rho.reshape((len(rho),) + dims.dims + dims.dims)
+    rows = []
+    for subset in stack_subsets(dims.n_parties)[:-1]:
+        # partial_trace's einsum behind a batch axis: the traced indices
+        # are summed in the same order, so each matrix reduces as alone
+        subscripts, out, kept_dims = _reduction_plan(dims, subset)
+        reduced = np.einsum(tensor, [Ellipsis, *subscripts], [Ellipsis, *out])
+        d = kept_dims.total_dim
+        rows.append(l1_coherence_stack(reduced.reshape(len(rho), d, d)))
+    rows.append(l1_coherence_stack(rho))
+    return np.stack(rows)
 
 
 # Weights of the three-qubit residuals: entry (r, c) pairs the basis labels
@@ -110,8 +103,7 @@ THEOREM1_D_TERMS: tuple[tuple[int, int, int], ...] = tuple(
 
 def theorem1_slack_D(rho: DensityOperator) -> float:
     """Residual D of the half-sum bound: 2*C123 - (C12+C13+C23) >= D >= 0."""
-    if rho.dims.dims != (2, 2, 2):
-        raise ValueError(f"three-qubit state required, got dims {rho.dims.dims}")
+    _require_three_qubits(rho.dims)
     return float((RESIDUAL_WEIGHTS * np.abs(rho.mat)).sum())
 
 

@@ -8,10 +8,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coherence import EPS_INEQ, l1_coherence, subset_coherence
-from .inequalities import InequalityResult, run_suite
-from .states import LocalDims, PureState, density_from_pure
-from .tangle import three_tangle
+from .coherence import EPS_INEQ, stack_subsets
+from .inequalities import CHUNK_ENTRIES, InequalityResult, stack_results, suite_names, suite_stack
+from .states import LocalDims, PureState, SubsystemSet
 
 FAMILIES = ("ghz", "w", "two-term")
 
@@ -20,6 +19,10 @@ _THREE_QUBITS = LocalDims((2, 2, 2))
 
 #: Sweep quantities with known closed forms, in emission order.
 QUANTITIES = ("c123", "c12", "c13", "c23", "tau")
+#: The coherence_stack rows of c123, c12, c13 and c23.
+_QUANTITY_ROWS = [
+    stack_subsets(3).index(SubsystemSet(p)) for p in ((1, 2, 3), (1, 2), (1, 3), (2, 3))
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +111,6 @@ def closed_forms(family: str, params: Sequence[float]) -> dict[str, float]:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def numeric_quantities(point: FamilyPoint) -> dict[str, float]:
-    rho = density_from_pure(point.state)
-    return {
-        "c123": l1_coherence(rho),
-        "c12": subset_coherence(rho, (1, 2)),
-        "c13": subset_coherence(rho, (1, 3)),
-        "c23": subset_coherence(rho, (2, 3)),
-        "tau": three_tangle(point.state).tau,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class SweepRecord:
     """One grid point: state, closed forms, numeric values and suite results."""
@@ -149,16 +141,27 @@ def family_sweep(
     grid: Iterable[Sequence[float]],
     tolerance: float = EPS_INEQ,
 ) -> list[SweepRecord]:
-    """Run the full verifier suite at every grid point."""
+    """Run the full verifier suite at every grid point.
+
+    The points are evaluated in stacked chunks of :func:`suite_stack`, whose
+    coherence rows and tau also give the numeric quantities.
+    """
+    points = [family_point(family, params) for params in grid]
+    names = suite_names(_THREE_QUBITS, pure=True)
+    chunk = max(1, CHUNK_ENTRIES // _THREE_QUBITS.total_dim**2)
     records = []
-    for params in grid:
-        point = family_point(family, params)
-        records.append(
-            SweepRecord(
-                point,
-                closed_forms(family, point.params),
-                numeric_quantities(point),
-                tuple(run_suite(point.state, tolerance)),
+    for start in range(0, len(points), chunk):
+        part = points[start : start + chunk]
+        coherence, tau, rhs = suite_stack(_THREE_QUBITS, np.stack([p.state.amps for p in part]))
+        numeric = np.vstack((coherence[_QUANTITY_ROWS], tau)).T.tolist()
+        results = stack_results(names, coherence, rhs, tolerance)
+        for point, values, point_results in zip(part, numeric, results):
+            records.append(
+                SweepRecord(
+                    point,
+                    closed_forms(family, point.params),
+                    dict(zip(QUANTITIES, values)),
+                    tuple(point_results),
+                )
             )
-        )
     return records

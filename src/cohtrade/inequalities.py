@@ -25,14 +25,23 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence, TextIO, Union
 
-from .coherence import EPS_INEQ, coherence_profile, gamma, l1_coherence, subset_coherence
+import numpy as np
+
+from .coherence import EPS_INEQ, coherence_stack, gamma, l1_coherence, subset_coherence
+from .coherence import stack_subsets
 from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, density_from_pure
-from .tangle import three_tangle
+from .states import _require_three_qubits, validate_stack
+from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
 
 #: Verifiers excluded from pass/fail exit policies: their violations are data.
 CONJECTURE_PREFIX = "eq4"
+
+#: Matrix entries per stacked chunk (16 B each): callers of :func:`suite_stack`
+#: hold at most ``CHUNK_ENTRIES // D^2`` states at once, so memory does not
+#: grow with the number of states.
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,22 +138,17 @@ def _bound_table(dims: LocalDims, pure: bool) -> tuple[Bound, ...]:
     return tuple(table)
 
 
-def _require_three_qubit(rho: DensityOperator) -> None:
-    if rho.dims.dims != (2, 2, 2):
-        raise ValueError(f"three-qubit state required, got dims {rho.dims.dims}")
-
-
 def _evaluate_tangle_bound(bound: Bound, psi: PureState, tolerance: float) -> InequalityResult:
     if not isinstance(psi, PureState):
         raise TypeError("pure state required: the tangle bound does not cover mixed states")
     rho = density_from_pure(psi)
-    _require_three_qubit(rho)
+    _require_three_qubits(rho.dims)
     return bound.evaluate(rho, tolerance, three_tangle(psi).tau)
 
 
 def verify_theorem1(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= (C12 + C13 + C23) / 2 for any three-qubit state."""
-    _require_three_qubit(rho)
+    _require_three_qubits(rho.dims)
     return _THM1.evaluate(rho, tolerance)
 
 
@@ -161,7 +165,7 @@ def verify_additive_conjecture(
     This bound is known to be violated; results document the violation
     rather than signalling failure.
     """
-    _require_three_qubit(rho)
+    _require_three_qubits(rho.dims)
     if pivot not in (1, 2, 3):
         raise ValueError(f"pivot must be 1, 2 or 3, got {pivot}")
     return _EQ4[pivot].evaluate(rho, tolerance)
@@ -171,7 +175,7 @@ def verify_marginal_split(
     rho: DensityOperator, single: int, tolerance: float = EPS_INEQ
 ) -> InequalityResult:
     """C123 >= C_single + C_complement for any three-qubit state."""
-    _require_three_qubit(rho)
+    _require_three_qubits(rho.dims)
     if single not in (1, 2, 3):
         raise ValueError(f"single must be 1, 2 or 3, got {single}")
     return _EQ5[single].evaluate(rho, tolerance)
@@ -203,25 +207,83 @@ def suite_names(dims, pure: bool) -> list[str]:
     return [b.name for b in bounds(dims, pure)]
 
 
+@lru_cache(maxsize=None)
+def _fold_plan(dims: LocalDims, pure: bool):
+    """The bound table as arrays over the rows of :func:`coherence_stack`.
+
+    ``Bound.rhs`` folds a bound's subset coherences left to right, divides
+    once and adds tau for the tangle bounds.  Here the fold runs for every
+    bound at once as one cumulative sum along each bound's row indices
+    (padded to a common width), read at the bound's own length.
+    """
+    table = bounds(dims, pure)
+    row = {s: i for i, s in enumerate(stack_subsets(dims.n_parties))}
+    width = max(len(b.subsets) for b in table)
+    index = np.array([[row[s] for s in b.subsets] + [0] * (width - len(b.subsets)) for b in table])
+    last = (np.arange(len(table)), np.array([len(b.subsets) - 1 for b in table]))
+    divisor = np.array([[float(b.divisor)] for b in table])
+    tangle = np.array([k for k, b in enumerate(table) if b.tangle], dtype=np.intp)
+    return index, last, divisor, tangle
+
+
+def suite_stack(
+    dims: "LocalDims | Sequence[int]", states: np.ndarray
+) -> tuple[np.ndarray, "np.ndarray | None", np.ndarray]:
+    """Every bound of :func:`bounds` on a stack of states: coherence rows, tau and rhs.
+
+    ``states`` holds pure-state amplitude rows ``(B, D)``, taken as checked,
+    or density matrices ``(B, D, D)``, validated first by
+    :func:`validate_stack` (the first malformed one raises its own message).
+    Returns the ``(2^n - 1, B)`` rows of :func:`coherence_stack`, whose last
+    row is every bound's lhs; tau ``(B,)`` for pure three-qubit input, else
+    None; and rhs ``(K, B)``, row k for bound k of ``bounds(dims, pure)``.
+    Every number is bit-identical to the per-state primitives
+    (:func:`subset_coherence`, :func:`three_tangle`, :meth:`Bound.rhs`).
+    """
+    dims = _as_dims(dims)
+    states = np.ascontiguousarray(states, dtype=np.complex128)
+    pure = states.ndim == 2
+    if pure:
+        rho = states[:, :, None] * states.conj()[:, None, :]
+    else:
+        validate_stack(dims, states)
+        rho = states
+    index, last, divisor, tangle = _fold_plan(dims, pure)
+    coherence = coherence_stack(dims, rho)
+    rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
+    tau = None
+    if tangle.size:
+        tau = three_tangle_stack(states)
+        rhs[tangle] += tau
+    return coherence, tau, rhs
+
+
+def stack_results(
+    names: Sequence[str], coherence: np.ndarray, rhs: np.ndarray, tolerance: float
+) -> list[list[InequalityResult]]:
+    """The results of a :func:`suite_stack` call, one table-ordered list per state."""
+    return [
+        [_result(name, lhs, r, tolerance) for name, r in zip(names, column)]
+        for lhs, column in zip(coherence[-1].tolist(), rhs.T.tolist())
+    ]
+
+
 def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResult]:
     """Evaluate every bound of :func:`bounds`, in table order.
 
-    The coherence of every reduction, and tau for a pure three-qubit state,
-    are computed once and shared by all bounds.  A density operator is
-    validated up front so a malformed state yields no partial results; a
-    pure state is checked at construction and its projector is a state.
+    The state is evaluated as a one-row :func:`suite_stack`.  A density
+    operator is validated up front, so a malformed state yields no partial
+    results; a pure state is checked at construction.
     """
     if isinstance(state, PureState):
-        rho = density_from_pure(state)
+        stack = state.amps[None]
     elif isinstance(state, DensityOperator):
-        rho = state.validate()
+        stack = state.mat[None]
     else:
         raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
-    table = bounds(rho.dims, isinstance(state, PureState))
-    coherence = coherence_profile(rho).by_subset
-    lhs = coherence[SubsystemSet(tuple(range(1, rho.dims.n_parties + 1)))]
-    tau = three_tangle(state).tau if any(b.tangle for b in table) else 0.0
-    return [_result(b.name, lhs, b.rhs(coherence.__getitem__, tau), tolerance) for b in table]
+    coherence, _, rhs = suite_stack(state.dims, stack)
+    names = suite_names(state.dims, isinstance(state, PureState))
+    return stack_results(names, coherence, rhs, tolerance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ EPS_NORM = 1e-10
 EPS_HERM = 1e-10
 EPS_PSD = 1e-10
 
+#: Largest total dimension of a state: one dense D x D complex matrix is
+#: 256 MiB at this size, and a suite holds several.
+MAX_TOTAL_DIM = 4096
+
 
 class InvalidStateError(ValueError):
     """Raised when a state object violates one of its defining invariants."""
@@ -50,6 +54,11 @@ def _as_dims(dims: "LocalDims | Sequence[int]") -> "LocalDims":
     return dims if isinstance(dims, LocalDims) else LocalDims(tuple(dims))
 
 
+def _require_three_qubits(dims: "LocalDims") -> None:
+    if dims.dims != (2, 2, 2):
+        raise ValueError(f"three-qubit state required, got dims {dims.dims}")
+
+
 def _as_subsystem(parties: "SubsystemSet | Iterable[int]") -> "SubsystemSet":
     return parties if isinstance(parties, SubsystemSet) else SubsystemSet(tuple(parties))
 
@@ -70,6 +79,11 @@ class LocalDims:
             raise InvalidStateError("dims must list at least one party")
         if any(d < 2 for d in dims):
             raise InvalidStateError(f"every local dimension must be >= 2, got {dims}")
+        if math.prod(dims) > MAX_TOTAL_DIM:
+            raise InvalidStateError(
+                f"total dimension {math.prod(dims)} of dims {dims} exceeds the limit "
+                f"MAX_TOTAL_DIM = {MAX_TOTAL_DIM}"
+            )
 
     @property
     def n_parties(self) -> int:

@@ -8,14 +8,10 @@ import numpy as np
 
 from .coherence import RESIDUAL_WEIGHTS
 from .states import DensityOperator, PureState, density_from_pure, partial_trace
+from .states import _require_three_qubits
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
-
-
-def _require_three_qubits(psi: PureState) -> None:
-    if psi.dims.dims != (2, 2, 2):
-        raise ValueError(f"three-qubit pure state required, got dims {psi.dims.dims}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,7 @@ def three_tangle(psi: PureState) -> TangleBreakdown:
     The d-terms use complex amplitude products (squares, not moduli); the
     absolute value is taken once at the end.
     """
-    _require_three_qubits(psi)
+    _require_three_qubits(psi.dims)
     a000, a001, a010, a011, a100, a101, a110, a111 = psi.amps
     d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
     d2 = (
@@ -118,7 +114,7 @@ def wootters_concurrence(rho: DensityOperator) -> float:
 
 def ckw_tangle_oracle(psi: PureState) -> float:
     """Tangle via the monogamy identity: 4 det(rho_A) - C(rho_AB)^2 - C(rho_AC)^2."""
-    _require_three_qubits(psi)
+    _require_three_qubits(psi.dims)
     rho = density_from_pure(psi)
     rho_a = partial_trace(rho, (1,)).mat
     det_a = (rho_a[0, 0] * rho_a[1, 1] - rho_a[0, 1] * rho_a[1, 0]).real
@@ -129,6 +125,6 @@ def ckw_tangle_oracle(psi: PureState) -> float:
 
 def dprime_slack(psi: PureState) -> float:
     """Pure-state residual D'/2 = |a| W |a| / 2; satisfies D'/2 >= tau within tolerance."""
-    _require_three_qubits(psi)
+    _require_three_qubits(psi.dims)
     a = np.abs(psi.amps)
     return float(a @ RESIDUAL_WEIGHTS @ a / 2.0)

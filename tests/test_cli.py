@@ -8,6 +8,7 @@ import pytest
 
 import cohtrade
 from cohtrade import (
+    InvalidStateError,
     cli_main,
     ensemble_reports,
     ghz_state,
@@ -15,9 +16,11 @@ from cohtrade import (
     read_state_file,
     run_suite,
     sample_ginibre_mixed,
+    state_from_dict,
     two_term_state,
     write_state_file,
 )
+from cohtrade import cli
 from cohtrade.states import LocalDims
 
 
@@ -61,6 +64,7 @@ def test_density_state_file_round_trip(tmp_path):
         ({"dims": [2, 1], "kind": "pure", "data": [[1, 0], [0, 0]]}, "dimension"),
         ({"dims": "22", "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "list"),
         ({"dims": [2.7, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "integer"),
+        ({"dims": [2] * 13, "kind": "density", "data": []}, "MAX_TOTAL_DIM = 4096"),
     ],
 )
 def test_state_file_rejection_names_invariant(tmp_path, payload, fragment):
@@ -221,8 +225,29 @@ def test_sample_rank_requires_mixed(capsys):
 def test_sample_bad_dims_exit_two(capsys):
     rc = cli_main(["sample", "--dims", "2,x", "--trials", "5"])
     assert rc == 2
+    assert "comma-separated integers" in capsys.readouterr().err
     rc = cli_main(["sample", "--dims", "2,1", "--trials", "5"])
     assert rc == 2
+    assert "every local dimension must be >= 2, got (2, 1)" in capsys.readouterr().err
+
+
+def test_dims_beyond_the_dense_limit_exit_two(tmp_path, capsys):
+    # rejected while parsing, before anything of size 2^13 is allocated
+    thirteen = ",".join(["2"] * 13)
+    for argv in (
+        ["sample", "--dims", thirteen, "--trials", "1"],
+        ["search", "--objective", "cor1-m1", "--dims", thirteen, "--restarts", "1"],
+    ):
+        assert cli_main(argv) == 2
+        assert "total dimension 8192" in capsys.readouterr().err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": [2] * 13, "kind": "pure", "data": []}))
+    assert cli_main(["verify", str(path)]) == 2
+    assert "exceeds the limit MAX_TOTAL_DIM = 4096" in capsys.readouterr().err
+    # the limit itself is accepted; nothing is run at it
+    assert cli._dims_arg(",".join(["2"] * 12)).total_dim == cohtrade.MAX_TOTAL_DIM == 4096
+    with pytest.raises(InvalidStateError, match="entries"):
+        state_from_dict({"dims": [4096], "kind": "pure", "data": []})
 
 
 def test_sample_same_seed_is_reproducible(tmp_path):
@@ -283,6 +308,11 @@ def test_module_entry_point_runs_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "agreement within 1e-8: yes" in done.stdout
+
+
+def test_every_export_resolves():
+    for name in cohtrade.__all__:
+        getattr(cohtrade, name)
 
 
 def test_help_and_missing_subcommand():

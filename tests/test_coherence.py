@@ -6,7 +6,7 @@ from cohtrade import (
     LocalDims,
     SubsystemSet,
     THEOREM1_D_TERMS,
-    coherence_profile,
+    coherence_stack,
     correlated_coherence,
     density_from_pure,
     ghz_state,
@@ -20,6 +20,7 @@ from cohtrade import (
     two_term_state,
     w_state,
 )
+from cohtrade.coherence import stack_subsets
 
 EPS = 1e-9
 
@@ -113,46 +114,62 @@ def test_monotonicity_under_reduction(haar_three_qubit, ginibre_three_qubit):
 
 
 # ---------------------------------------------------------------------------
-# coherence_profile
+# coherence_stack
 # ---------------------------------------------------------------------------
+
+def profile(rho):
+    """The coherence_stack of one matrix, keyed by subset."""
+    rows = coherence_stack(rho.dims, rho.mat[None])
+    assert rows.shape == (2**rho.dims.n_parties - 1, 1)
+    return dict(zip(stack_subsets(rho.dims.n_parties), rows[:, 0].tolist()))
+
 
 def test_profile_of_diagonal_product_is_zero():
     q = diagonal_state((2,), seed=1)
     rho = kron(kron(q, diagonal_state((2,), seed=2)), diagonal_state((2,), seed=3))
-    profile = coherence_profile(rho)
-    assert len(profile.by_subset) == 7
-    assert all(v == 0.0 for v in profile.by_subset.values())
+    by_subset = profile(rho)
+    assert len(by_subset) == 7
+    assert all(v == 0.0 for v in by_subset.values())
 
 
 def test_profile_ghz():
-    profile = coherence_profile(density_from_pure(ghz_state(np.pi / 4)))
-    assert profile.value((1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
-    for subset, value in profile.by_subset.items():
+    by_subset = profile(density_from_pure(ghz_state(np.pi / 4)))
+    assert by_subset[SubsystemSet((1, 2, 3))] == pytest.approx(1.0, abs=1e-12)
+    for subset, value in by_subset.items():
         if len(subset) < 3:
             assert value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_profile_counts_all_subsets_for_four_parties():
     psi = sample_haar_pure((2, 2, 2, 2), 3)
-    profile = coherence_profile(density_from_pure(psi))
-    assert len(profile.by_subset) == 15
-    assert profile.value((1, 2, 3, 4)) == pytest.approx(
+    by_subset = profile(density_from_pure(psi))
+    assert len(by_subset) == 15
+    assert by_subset[SubsystemSet((1, 2, 3, 4))] == pytest.approx(
         l1_coherence(density_from_pure(psi)), abs=1e-12
     )
 
 
-def test_profile_sizes_filter():
-    rho = density_from_pure(sample_haar_pure((2, 2, 2), 4))
-    profile = coherence_profile(rho, sizes=[2])
-    assert sorted(len(s) for s in profile.by_subset) == [2, 2, 2]
-    with pytest.raises(ValueError):
-        coherence_profile(rho, sizes=[4])
-
-
 def test_profile_full_set_matches_l1():
     rho = sample_ginibre_mixed((2, 3), 3, 9)
-    profile = coherence_profile(rho)
-    assert profile.value(SubsystemSet((1, 2))) == l1_coherence(rho)
+    assert profile(rho)[SubsystemSet((1, 2))] == l1_coherence(rho)
+
+
+def test_stack_subsets_order():
+    assert [s.parties for s in stack_subsets(3)] == [
+        (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2,) * 5])
+def test_stack_rows_equal_subset_coherence(dims):
+    d = LocalDims(dims).total_dim
+    states = [density_from_pure(sample_haar_pure(dims, 40 + s)) for s in range(6)]
+    states += [sample_ginibre_mixed(dims, 1 + s % d, 50 + s) for s in range(6)]
+    rows = coherence_stack(LocalDims(dims), np.stack([rho.mat for rho in states]))
+    subsets = stack_subsets(len(dims))
+    assert rows.shape == (len(subsets), len(states))
+    for b, rho in enumerate(states):
+        assert rows[:, b].tolist() == [subset_coherence(rho, s) for s in subsets]
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,46 @@
-"""The stacked ensemble engine against the per-state suite, which is its reference."""
+"""The stacked suite engine and the ensembles against the per-state primitives.
+
+The reference is the paper's formulas written out from ``subset_coherence``,
+``l1_coherence`` and ``three_tangle`` (``conftest.paper_rhs``), and
+``DensityOperator.validate`` for malformed matrices.
+"""
 
 import numpy as np
 import pytest
+from conftest import paper_rhs
 
 from cohtrade import (
     DensityOperator,
     InvalidStateError,
     LocalDims,
+    PureState,
     TrialReport,
+    density_from_pure,
     ensemble_reports,
+    l1_coherence,
     run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
     suite_names,
+    suite_stack,
+    three_tangle,
 )
 from cohtrade import ensemble
-from cohtrade.ensemble import suite_stack
 from cohtrade.states import complex_normals, sample_haar_stack
 
 WIDE_DIMS = [(2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2)]
 
 
+def reference_slacks(state):
+    """(name, lhs, rhs, slack) of every bound, from the paper's formulas."""
+    pure = state if isinstance(state, PureState) else None
+    density = state if pure is None else density_from_pure(state)
+    lhs = l1_coherence(density)
+    return [(name, lhs, rhs, lhs - rhs) for name, rhs in paper_rhs(density, pure).items()]
+
+
 def reference_reports(dims, trials, seed, mixed=False, rank=None, tolerance=1e-9):
-    """The per-state aggregation: run_suite on every trial, a strict < scan for the minimum."""
+    """The per-state aggregation: every trial on its own, a strict < scan for the minimum."""
     stats, order = {}, []
     for t in range(trials):
         trial_seed = seed + t
@@ -31,30 +49,36 @@ def reference_reports(dims, trials, seed, mixed=False, rank=None, tolerance=1e-9
             state = sample_ginibre_mixed(dims, rank if rank is not None else full, trial_seed)
         else:
             state = sample_haar_pure(dims, trial_seed)
-        for r in run_suite(state, tolerance):
-            if r.name not in stats:
-                stats[r.name] = [0, 0, float("inf"), trial_seed]
-                order.append(r.name)
-            entry = stats[r.name]
+        for name, _, _, slack in reference_slacks(state):
+            if name not in stats:
+                stats[name] = [0, 0, float("inf"), trial_seed]
+                order.append(name)
+            entry = stats[name]
             entry[0] += 1
-            if not r.holds:
+            if not slack >= -tolerance:
                 entry[1] += 1
-            if r.slack < entry[2]:
-                entry[2] = r.slack
+            if slack < entry[2]:
+                entry[2] = slack
                 entry[3] = trial_seed
     return [TrialReport(name, *stats[name], tolerance) for name in order]
 
 
 def assert_stack_matches_suite(dims, states, stack):
-    lhs, rhs = suite_stack(dims, stack)
+    coherence, tau, rhs = suite_stack(dims, stack)
+    lhs = coherence[-1]
     names = suite_names(dims, stack.ndim == 2)
+    assert (tau is not None) == (stack.ndim == 2 and tuple(dims) == (2, 2, 2))
     for b, state in enumerate(states):
-        expected = [(r.name, r.lhs, r.rhs, r.slack) for r in run_suite(state)]
+        expected = reference_slacks(state)
         got = [
             (name, float(lhs[b]), float(rhs[k, b]), float(lhs[b] - rhs[k, b]))
             for k, name in enumerate(names)
         ]
         assert got == expected
+        # run_suite, the one-row stack, takes the same sums as a wide stack
+        assert [(r.name, r.lhs, r.rhs, r.slack) for r in run_suite(state)] == expected
+        if tau is not None:
+            assert tau[b] == three_tangle(state).tau
 
 
 def test_haar_stack_rows_equal_single_samples():
@@ -138,16 +162,20 @@ def _ginibre_stack(n):
     return np.stack([sample_ginibre_mixed((2, 2, 2), 4, s).mat for s in range(n)])
 
 
-def _suite_error(mat):
+def _validate_error(mat):
+    rho = DensityOperator._trusted(LocalDims((2, 2, 2)), mat)
     with pytest.raises(InvalidStateError) as exc:
-        run_suite(DensityOperator._trusted(LocalDims((2, 2, 2)), mat))
+        rho.validate()
+    with pytest.raises(InvalidStateError) as suite_exc:
+        run_suite(rho)
+    assert str(suite_exc.value) == str(exc.value)
     return str(exc.value)
 
 
 def test_stack_with_nan_matrix_raises_its_own_message():
     stack = _ginibre_stack(6)
     stack[3, 2, 5] = np.nan
-    message = _suite_error(stack[3].copy())
+    message = _validate_error(stack[3].copy())
     with pytest.raises(InvalidStateError) as exc:
         suite_stack((2, 2, 2), stack)
     assert str(exc.value) == message
@@ -157,7 +185,7 @@ def test_stack_with_non_positive_matrix_raises_its_own_message():
     bad = np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0]).astype(complex)
     stack = _ginibre_stack(6)
     stack[4] = bad
-    message = _suite_error(bad.copy())
+    message = _validate_error(bad.copy())
     assert "eigenvalue" in message
     with pytest.raises(InvalidStateError) as exc:
         suite_stack((2, 2, 2), stack)

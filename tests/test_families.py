@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from conftest import paper_rhs
 
 from cohtrade import (
     closed_forms,
     default_grid,
+    density_from_pure,
     family_point,
     family_sweep,
     ghz_state,
     is_conjecture,
+    l1_coherence,
+    subset_coherence,
+    three_tangle,
     two_term_state,
     w_state,
 )
+from cohtrade import families
 
 
 def test_family_states_place_amplitudes_correctly():
@@ -89,3 +95,58 @@ def test_two_term_family_refutes_additive_conjecture():
 def test_closed_forms_reject_unknown_family():
     with pytest.raises(ValueError):
         closed_forms("bell", (0.1,))
+
+
+def assert_record_matches_primitives(rec, tolerance=1e-9):
+    psi = rec.point.state
+    rho = density_from_pure(psi)
+    assert rec.numeric == {
+        "c123": l1_coherence(rho),
+        "c12": subset_coherence(rho, (1, 2)),
+        "c13": subset_coherence(rho, (1, 3)),
+        "c23": subset_coherence(rho, (2, 3)),
+        "tau": three_tangle(psi).tau,
+    }
+    assert all(type(v) is float for v in rec.numeric.values())
+    assert rec.closed == closed_forms(rec.point.family, rec.point.params)
+    lhs = l1_coherence(rho)
+    expected = [
+        (name, lhs, rhs, lhs - rhs, lhs - rhs >= -tolerance, tolerance)
+        for name, rhs in paper_rhs(rho, psi).items()
+    ]
+    got = [(r.name, r.lhs, r.rhs, r.slack, r.holds, r.tolerance) for r in rec.results]
+    assert got == expected
+
+
+@pytest.mark.parametrize("family, points", [("ghz", 16), ("w", 5), ("two-term", 9)])
+def test_sweep_equals_per_state_primitives(family, points):
+    grid = default_grid(family, points)
+    records = family_sweep(family, grid)
+    assert [rec.point.params for rec in records] == [tuple(map(float, p)) for p in grid]
+    for rec in records:
+        assert_record_matches_primitives(rec)
+
+
+def test_sweep_across_chunks(monkeypatch):
+    grid = default_grid("w", 6)
+    whole = family_sweep("w", grid, 1e-7)
+    calls = []
+    suite_stack = families.suite_stack
+
+    def counting_suite_stack(dims, states):
+        calls.append(len(states))
+        return suite_stack(dims, states)
+
+    monkeypatch.setattr(families, "suite_stack", counting_suite_stack)
+    monkeypatch.setattr(families, "CHUNK_ENTRIES", 5 * 64)
+    chunked = family_sweep("w", grid, 1e-7)
+    assert calls == [5] * 7 + [1]
+    assert [rec.point.params for rec in chunked] == [rec.point.params for rec in whole]
+    for a, b in zip(whole, chunked):
+        assert a.numeric == b.numeric
+        assert a.results == b.results
+        assert_record_matches_primitives(b, 1e-7)
+
+
+def test_sweep_of_empty_grid():
+    assert family_sweep("ghz", []) == []

@@ -1,6 +1,5 @@
 import io
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from cohtrade import (
     w_state,
     write_results_csv,
 )
+from conftest import paper_rhs
 
 EPS = 1e-9
 
@@ -288,35 +288,6 @@ def test_suite_rejects_malformed_state():
     bad = DensityOperator(LocalDims((2, 2, 2)), np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0]))
     with pytest.raises(Exception, match="eigenvalue"):
         run_suite(bad)
-
-
-def paper_rhs(rho, psi=None):
-    """Every applicable bound's right-hand side, written out from the paper."""
-
-    def c(*parties):
-        return subset_coherence(rho, parties)
-
-    dims, n = rho.dims, rho.dims.n_parties
-    rhs = {}
-    if dims.dims == (2, 2, 2):
-        rhs["thm1"] = (c(1, 2) + c(1, 3) + c(2, 3)) / 2
-        rhs["eq3"] = c(1) + c(2) + c(3)
-        rhs["eq4-pivot1"] = c(1, 2) + c(1, 3)
-        rhs["eq4-pivot2"] = c(1, 2) + c(2, 3)
-        rhs["eq4-pivot3"] = c(1, 3) + c(2, 3)
-        rhs["eq5-single1"] = c(1) + c(2, 3)
-        rhs["eq5-single2"] = c(2) + c(1, 3)
-        rhs["eq5-single3"] = c(3) + c(1, 2)
-    for m in range(1, n + 1):
-        total = 0.0
-        for subset in combinations(range(1, n + 1), m):
-            total += c(*subset)
-        rhs[f"cor{1 if dims.all_qubits else 2}-m{m}"] = total / math.comb(n - 1, m - 1)
-    if psi is not None and dims.dims == (2, 2, 2):
-        tau = three_tangle(psi).tau
-        rhs["thm3"] = (c(1, 2) + c(1, 3) + c(2, 3)) / 2 + tau
-        rhs["eq10"] = c(1) + c(2) + c(3) + tau
-    return rhs
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4)])
