@@ -158,6 +158,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return 2
     dims = LocalDims((2, 2, 2))
     max_diff = 0.0
     min_dprime_slack = float("inf")

@@ -17,8 +17,15 @@ EPS_INEQ = 1e-9
 
 def l1_coherence(rho: DensityOperator) -> float:
     """Sum of the absolute values of all off-diagonal entries."""
-    off = np.abs(rho.mat)
-    np.fill_diagonal(off, 0.0)
+    return _l1_sum(rho.mat)
+
+
+def _l1_sum(mat: np.ndarray) -> float:
+    """:func:`l1_coherence` of a bare square matrix."""
+    off = np.abs(mat)
+    # off is freshly allocated in mat's C or F order, so its memory-order
+    # ravel is a view in which every diagonal entry is d + 1 after the last
+    off.ravel(order="K")[:: len(off) + 1] = 0.0
     return float(off.sum())
 
 

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence, TextIO, Union
+from functools import lru_cache
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .coherence import EPS_INEQ, coherence_stack, gamma, l1_coherence, subset_coherence
-from .coherence import stack_subsets
+from .coherence import EPS_INEQ, _l1_sum, coherence_stack, gamma, stack_subsets
 from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, density_from_pure
-from .states import _require_three_qubits, validate_stack
+from .states import _reduction_plan, _require_three_qubits, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
@@ -74,22 +73,45 @@ class Bound:
     divisor: int
     tangle: bool = False
 
-    def rhs(self, coherence: Callable[[SubsystemSet], float], tau: float = 0.0) -> float:
-        # a left fold in subset order, then one division: the builtin sum()
-        # compensates float sums from Python 3.12 on, and sum(x) / k differs
-        # from sum(x / k), either of which would move slacks in the last bit
-        total = 0.0
-        for subset in self.subsets:
-            total += coherence(subset)
-        total /= self.divisor
-        return total + tau if self.tangle else total
-
     def evaluate(
         self, rho: DensityOperator, tolerance: float = EPS_INEQ, tau: float = 0.0
     ) -> InequalityResult:
-        """This bound alone: computes only its own subsets and does not validate ``rho``."""
-        rhs = self.rhs(partial(subset_coherence, rho), tau)
-        return _result(self.name, l1_coherence(rho), rhs, tolerance)
+        """This bound alone: computes only its own subsets and does not validate ``rho``.
+
+        Each subset coherence equals :func:`subset_coherence` bit for bit: the
+        same einsum reduction of ``rho.mat`` and the same l1 sum, without the
+        intermediate state objects.  The rhs folds them left to right in subset
+        order, divides once and then adds tau for a tangle bound (the builtin
+        sum() compensates float sums from Python 3.12 on, and sum(x) / k
+        differs from sum(x / k), either of which would move slacks in the
+        last bit).
+        """
+        mat = rho.mat
+        tensor = mat.reshape(rho.dims.dims * 2)
+        total = 0.0
+        for plan in _subset_plans(rho.dims, self.subsets):
+            if plan is None:
+                total += _l1_sum(mat)
+            else:
+                subscripts, out, d = plan
+                reduced = np.einsum(tensor, subscripts, out).reshape(d, d)
+                total += _l1_sum(np.ascontiguousarray(reduced))
+        total /= self.divisor
+        rhs = total + tau if self.tangle else total
+        return _result(self.name, _l1_sum(mat), rhs, tolerance)
+
+
+@lru_cache(maxsize=None)
+def _subset_plans(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple:
+    """:func:`partial_trace`'s einsum plan for each subset, None for the full set."""
+    plans = []
+    for subset in subsets:
+        if len(subset.check_against(dims)) == dims.n_parties:
+            plans.append(None)
+        else:
+            subscripts, out, kept_dims = _reduction_plan(dims, subset)
+            plans.append((subscripts, out, kept_dims.total_dim))
+    return tuple(plans)
 
 
 _PAIRS = gamma(2, 3).members
@@ -211,9 +233,9 @@ def suite_names(dims, pure: bool) -> list[str]:
 def _fold_plan(dims: LocalDims, pure: bool):
     """The bound table as arrays over the rows of :func:`coherence_stack`.
 
-    ``Bound.rhs`` folds a bound's subset coherences left to right, divides
-    once and adds tau for the tangle bounds.  Here the fold runs for every
-    bound at once as one cumulative sum along each bound's row indices
+    :meth:`Bound.evaluate` folds a bound's subset coherences left to right,
+    divides once and adds tau for the tangle bounds.  Here the fold runs for
+    every bound at once as one cumulative sum along each bound's row indices
     (padded to a common width), read at the bound's own length.
     """
     table = bounds(dims, pure)
@@ -238,7 +260,7 @@ def suite_stack(
     row is every bound's lhs; tau ``(B,)`` for pure three-qubit input, else
     None; and rhs ``(K, B)``, row k for bound k of ``bounds(dims, pure)``.
     Every number is bit-identical to the per-state primitives
-    (:func:`subset_coherence`, :func:`three_tangle`, :meth:`Bound.rhs`).
+    (:func:`subset_coherence`, :func:`three_tangle`, :meth:`Bound.evaluate`).
     """
     dims = _as_dims(dims)
     states = np.ascontiguousarray(states, dtype=np.complex128)

@@ -67,15 +67,14 @@ def _nelder_mead(
 ) -> tuple[np.ndarray, float, int]:
     """Reflection/contraction/shrink simplex descent; returns (x, f(x), evals)."""
     dim = x0.size
-    points = [x0] + [x0 + step * np.eye(dim)[i] for i in range(dim)]
-    values = [f(x) for x in points]
+    points = np.vstack([x0, x0 + step * np.eye(dim)])  # one vertex per row
+    values = np.array([f(x) for x in points])
     evals = dim + 1
 
     for _ in range(iterations):
         order = np.argsort(values)
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.abs(p - points[0]).max() for p in points[1:])
+        points, values = points[order], values[order]
+        spread = np.abs(points[1:] - points[0]).max()
         if spread < DIAMETER_TOL:
             break
 
@@ -94,12 +93,12 @@ def _nelder_mead(
             points[-1], values[-1] = contracted, f_contracted
             continue
 
-        points = [points[0]] + [points[0] + SHRINK * (p - points[0]) for p in points[1:]]
-        values = [values[0]] + [f(p) for p in points[1:]]
+        points[1:] = points[0] + SHRINK * (points[1:] - points[0])
+        values[1:] = [f(p) for p in points[1:]]
         evals += dim
 
     best = int(np.argmin(values))
-    return points[best], values[best], evals
+    return points[best], float(values[best]), evals
 
 
 def _descend(
@@ -146,6 +145,10 @@ def minimize_slack(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     dims = _as_dims(dims)
     d = dims.total_dim
     runner = resolve_objective(objective, dims)

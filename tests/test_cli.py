@@ -289,6 +289,27 @@ def test_search_unknown_objective_exits_two(capsys):
     assert "unknown objective" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--iterations", "-7"), ("--rounds", "0"), ("--rounds", "-3")],
+)
+def test_search_rejects_out_of_range_iterations_and_rounds(capsys, flag, value):
+    rc = cli_main(["search", "--objective", "thm1", "--restarts", "1", flag, value])
+    assert rc == 2
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "sample"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_fewer_than_one_trial_exits_two(capsys, command, trials):
+    argv = [command, "--trials", trials] + (["--dims", "2,2,2"] if command == "sample" else [])
+    rc = cli_main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: --trials must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_oracle_subcommand(capsys):
     rc = cli_main(["oracle", "--trials", "60", "--seed", "5"])
     out = capsys.readouterr().out

@@ -61,6 +61,17 @@ def test_coherence_range_on_random_states(ginibre_three_qubit):
         assert 0.0 <= c <= 7.0 + EPS
 
 
+def test_l1_coherence_in_any_memory_layout():
+    mat = sample_ginibre_mixed((2, 2, 2), 5, 8).mat
+    spaced = np.zeros((16, 16), dtype=complex)
+    spaced[::2, ::2] = mat
+    for layout in (mat, np.asfortranarray(mat), spaced[::2, ::2]):
+        off = np.abs(layout)
+        np.fill_diagonal(off, 0.0)
+        rho = DensityOperator._trusted(LocalDims((2, 2, 2)), layout)
+        assert l1_coherence(rho) == float(off.sum())
+
+
 def test_diagonal_unitary_invariance(haar_three_qubit):
     rng = np.random.default_rng(11)
     for psi in haar_three_qubit[:20]:

@@ -7,6 +7,7 @@ import pytest
 from cohtrade import (
     DensityOperator,
     LocalDims,
+    bounds,
     density_from_pure,
     gamma,
     ghz_state,
@@ -306,6 +307,10 @@ def test_bound_table_matches_paper_formulas_exactly(dims):
                 assert r.rhs == expected[r.name], r.name
         for name, rhs in paper_rhs(rho, psi).items():
             assert resolve_objective(name, dims)(psi).rhs == rhs, name
+        mixed_rhs = paper_rhs(mixed)
+        for bound in bounds(dims, pure=False):
+            r = bound.evaluate(mixed)
+            assert (r.lhs, r.rhs) == (l1_coherence(mixed), mixed_rhs[bound.name]), bound.name
 
 
 def test_tangle_bound_is_tighter_than_half_sum(haar_three_qubit):
