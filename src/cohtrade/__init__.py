@@ -10,10 +10,7 @@ and a batch CLI for large-scale numerical verification.
 
 from .coherence import (
     EPS_INEQ,
-    SubsetFamily,
-    THEOREM1_D_TERMS,
     coherence_stack,
-    correlated_coherence,
     gamma,
     l1_coherence,
     subset_coherence,
@@ -38,7 +35,6 @@ from .inequalities import (
     InequalityResult,
     bounds,
     is_conjecture,
-    parse_results_csv,
     run_suite,
     suite_names,
     suite_stack,
@@ -62,18 +58,13 @@ from .states import (
     LocalDims,
     PureState,
     SubsystemSet,
-    decode_index,
     density_from_pure,
-    encode_index,
-    hermitian_eigenvalues,
-    kron,
     partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
 )
 from .stateio import read_state_file, state_from_dict, state_to_dict, write_state_file
 from .tangle import (
-    TangleBreakdown,
     ckw_tangle_oracle,
     dprime_slack,
     three_tangle,
@@ -109,34 +100,25 @@ __all__ = [
     "MAX_TOTAL_DIM",
     "PureState",
     "SearchOutcome",
-    "SubsetFamily",
     "SubsystemSet",
     "SweepRecord",
-    "THEOREM1_D_TERMS",
-    "TangleBreakdown",
     "TrialReport",
     "bounds",
     "ckw_tangle_oracle",
     "cli_main",
     "closed_forms",
     "coherence_stack",
-    "correlated_coherence",
-    "decode_index",
     "default_grid",
     "density_from_pure",
     "dprime_slack",
-    "encode_index",
     "ensemble_reports",
     "family_point",
     "family_sweep",
     "gamma",
     "ghz_state",
-    "hermitian_eigenvalues",
     "is_conjecture",
-    "kron",
     "l1_coherence",
     "minimize_slack",
-    "parse_results_csv",
     "partial_trace",
     "read_state_file",
     "resolve_objective",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .coherence import EPS_INEQ
@@ -166,7 +167,7 @@ def _cmd_oracle(args) -> int:
     min_dprime_slack = float("inf")
     for t in range(args.trials):
         psi = sample_haar_pure(dims, args.seed + t)
-        tau = three_tangle(psi).tau
+        tau = three_tangle(psi)
         max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
         min_dprime_slack = min(min_dprime_slack, dprime_slack(psi) - tau)
     print(f"tangle oracle comparison over {args.trials} Haar states (base seed {args.seed})")
@@ -188,6 +189,16 @@ def _dims_arg(text: str) -> LocalDims:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tolerance_arg(text: str) -> float:
+    try:
+        tolerance = float(text)
+    except ValueError:
+        tolerance = math.nan
+    if not 0.0 <= tolerance < math.inf:  # NaN fails this test
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tolerance
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohtrade",
@@ -197,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verifier suite on a state file")
     p.add_argument("statefile")
-    p.add_argument("--tolerance", type=float, default=EPS_INEQ)
+    p.add_argument("--tolerance", type=_tolerance_arg, default=EPS_INEQ)
     p.add_argument("--csv", help="write results to this CSV file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="sweep a parameterized family against closed forms")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--points", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=EPS_INEQ)
+    p.add_argument("--tolerance", type=_tolerance_arg, default=EPS_INEQ)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sweep)
 
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mixed", action="store_true")
     p.add_argument("--rank", type=int, help="Ginibre rank (requires --mixed; default: full)")
-    p.add_argument("--tolerance", type=float, default=EPS_INEQ)
+    p.add_argument("--tolerance", type=_tolerance_arg, default=EPS_INEQ)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_sample)
 

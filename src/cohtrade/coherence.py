@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -49,29 +48,20 @@ def subset_coherence(rho: DensityOperator, parties: "SubsystemSet | Iterable[int
     return l1_coherence(partial_trace(rho, parties))
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
-    """All size-m subsets of n party labels, in lexicographic order."""
-
-    m: int
-    n: int
-    members: tuple[SubsystemSet, ...]
-
-
 @lru_cache(maxsize=None)
-def gamma(m: int, n: int) -> SubsetFamily:
+def gamma(m: int, n: int) -> tuple[SubsystemSet, ...]:
+    """All size-m subsets of n party labels, in lexicographic order."""
     # cached: every suite walks the same families, and building their
     # SubsystemSets per state cost 5-10% of a mixed-state suite
     if not 1 <= m <= n:
         raise ValueError(f"subset size m={m} out of range 1..{n}")
-    members = tuple(SubsystemSet(c) for c in combinations(range(1, n + 1), m))
-    return SubsetFamily(m, n, members)
+    return tuple(SubsystemSet(c) for c in combinations(range(1, n + 1), m))
 
 
 @lru_cache(maxsize=None)
 def stack_subsets(n: int) -> tuple[SubsystemSet, ...]:
     """Row order of :func:`coherence_stack`: sizes 1..n in turn, each as :func:`gamma` lists it."""
-    return tuple(s for m in range(1, n + 1) for s in gamma(m, n).members)
+    return tuple(s for m in range(1, n + 1) for s in gamma(m, n))
 
 
 def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
@@ -102,23 +92,8 @@ RESIDUAL_WEIGHTS = np.array(
 )
 RESIDUAL_WEIGHTS.setflags(write=False)
 
-#: (row, col, weight) for every |rho[row, col]| entering the half-sum residual D.
-THEOREM1_D_TERMS: tuple[tuple[int, int, int], ...] = tuple(
-    (r, c, int(w)) for (r, c), w in np.ndenumerate(RESIDUAL_WEIGHTS) if w
-)
-
 
 def theorem1_slack_D(rho: DensityOperator) -> float:
     """Residual D of the half-sum bound: 2*C123 - (C12+C13+C23) >= D >= 0."""
     _require_three_qubits(rho.dims)
     return float((RESIDUAL_WEIGHTS * np.abs(rho.mat)).sum())
-
-
-def correlated_coherence(rho: DensityOperator) -> float:
-    """Bipartite coherence minus both marginal coherences; expected nonnegative."""
-    if rho.dims.n_parties != 2:
-        raise ValueError(f"bipartite state required, got {rho.dims.n_parties} parties")
-    c_full = l1_coherence(rho)
-    c_a = l1_coherence(partial_trace(rho, (1,)))
-    c_b = l1_coherence(partial_trace(rho, (2,)))
-    return c_full - c_a - c_b

@@ -47,6 +47,8 @@ def ensemble_reports(
     trials whose slack is below ``-tolerance`` and keeps the first trial
     with the smallest slack.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     dims = _as_dims(dims)
     d = dims.total_dim
     chunk = max(1, CHUNK_ENTRIES // (d * d))

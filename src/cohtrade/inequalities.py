@@ -73,19 +73,23 @@ class Bound:
     divisor: int
     tangle: bool = False
 
-    def evaluate(
-        self, rho: DensityOperator, tolerance: float = EPS_INEQ, tau: float = 0.0
-    ) -> InequalityResult:
-        """This bound alone: computes only its own subsets and does not validate ``rho``.
+    def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
+        """This bound alone on ``state``, which is not validated; a pure state is projected.
 
-        Each subset coherence equals :func:`subset_coherence` bit for bit: the
-        same einsum reduction of ``rho.mat`` and the same l1 sum, without the
-        intermediate state objects.  The rhs folds them left to right in subset
-        order, divides once and then adds tau for a tangle bound (the builtin
-        sum() compensates float sums from Python 3.12 on, and sum(x) / k
-        differs from sum(x / k), either of which would move slacks in the
-        last bit).
+        A tangle bound adds ``three_tangle(state)``, so it takes pure
+        three-qubit states only.  Each subset coherence equals
+        :func:`subset_coherence` bit for bit: the same einsum reduction of the
+        density matrix and the same l1 sum, without the intermediate state
+        objects.  The rhs folds them left to right in subset order, divides
+        once and then adds tau for a tangle bound (the builtin sum()
+        compensates float sums from Python 3.12 on, and sum(x) / k differs
+        from sum(x / k), either of which would move slacks in the last bit).
         """
+        if self.tangle:
+            if not isinstance(state, PureState):
+                raise TypeError("pure state required: the tangle bound does not cover mixed states")
+            tau = three_tangle(state)
+        rho = density_from_pure(state) if isinstance(state, PureState) else state
         mat = rho.mat
         tensor = mat.reshape(rho.dims.dims * 2)
         total = 0.0
@@ -114,7 +118,7 @@ def _subset_plans(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple:
     return tuple(plans)
 
 
-_PAIRS = gamma(2, 3).members
+_PAIRS = gamma(2, 3)
 _THM1 = Bound("thm1", _PAIRS, 2)
 _EQ4 = {p: Bound(f"eq4-pivot{p}", tuple(s for s in _PAIRS if p in s), 1) for p in (1, 2, 3)}
 _EQ5 = {
@@ -122,11 +126,11 @@ _EQ5 = {
     for s in (1, 2, 3)
 }
 _THM3 = Bound("thm3", _PAIRS, 2, tangle=True)
-_EQ10 = Bound("eq10", gamma(1, 3).members, 1, tangle=True)
+_EQ10 = Bound("eq10", gamma(1, 3), 1, tangle=True)
 
 
 def _singles_bound(n: int) -> Bound:
-    return Bound("eq3", gamma(1, n).members, 1)
+    return Bound("eq3", gamma(1, n), 1)
 
 
 def corollary_name(dims, m: int) -> str:
@@ -135,7 +139,7 @@ def corollary_name(dims, m: int) -> str:
 
 def _corollary_bound(dims: LocalDims, m: int) -> Bound:
     n = dims.n_parties
-    return Bound(corollary_name(dims, m), gamma(m, n).members, math.comb(n - 1, m - 1))
+    return Bound(corollary_name(dims, m), gamma(m, n), math.comb(n - 1, m - 1))
 
 
 def bounds(dims: "LocalDims | Sequence[int]", pure: bool) -> list[Bound]:
@@ -158,14 +162,6 @@ def _bound_table(dims: LocalDims, pure: bool) -> tuple[Bound, ...]:
     if pure and three_qubit:
         table += [_THM3, _EQ10]
     return tuple(table)
-
-
-def _evaluate_tangle_bound(bound: Bound, psi: PureState, tolerance: float) -> InequalityResult:
-    if not isinstance(psi, PureState):
-        raise TypeError("pure state required: the tangle bound does not cover mixed states")
-    rho = density_from_pure(psi)
-    _require_three_qubits(rho.dims)
-    return bound.evaluate(rho, tolerance, three_tangle(psi).tau)
 
 
 def verify_theorem1(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
@@ -216,12 +212,12 @@ def verify_corollary1(
 
 def verify_theorem3(psi: PureState, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= (C12 + C13 + C23) / 2 + tau for pure three-qubit states."""
-    return _evaluate_tangle_bound(_THM3, psi, tolerance)
+    return _THM3.evaluate(psi, tolerance)
 
 
 def verify_eq10(psi: PureState, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= C1 + C2 + C3 + tau for pure three-qubit states."""
-    return _evaluate_tangle_bound(_EQ10, psi, tolerance)
+    return _EQ10.evaluate(psi, tolerance)
 
 
 def suite_names(dims, pure: bool) -> list[str]:
@@ -337,26 +333,3 @@ def write_results_csv(fh: TextIO, results: Iterable[InequalityResult]) -> None:
     fh.write(CSV_HEADER + "\n")
     for r in results:
         fh.write(result_to_csv(r) + "\n")
-
-
-def parse_results_csv(fh: TextIO) -> list[InequalityResult]:
-    """Read standard result rows back; aggregate ("AGG") rows are skipped."""
-    results = []
-    for i, line in enumerate(fh):
-        line = line.strip()
-        if not line or (i == 0 and line == CSV_HEADER):
-            continue
-        fields = line.split(",")
-        if fields[0] == "AGG":
-            continue
-        if len(fields) != 6:
-            raise ValueError(f"expected 6 fields per row, got {len(fields)}: {line!r}")
-        name, lhs, rhs, slack, holds, tol = fields
-        if holds not in ("true", "false"):
-            raise ValueError(f"holds must be 'true' or 'false', got {holds!r}")
-        results.append(
-            InequalityResult(
-                name, float(lhs), float(rhs), float(slack), holds == "true", float(tol)
-            )
-        )
-    return results

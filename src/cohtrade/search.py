@@ -9,8 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .inequalities import InequalityResult, bounds, corollary_name
-from .states import LocalDims, PureState, _as_dims, complex_normals, density_from_pure
-from .tangle import three_tangle
+from .states import LocalDims, PureState, _as_dims, complex_normals
 
 Objective = Callable[[PureState], InequalityResult]
 
@@ -54,9 +53,7 @@ def resolve_objective(name: str, dims: "LocalDims | Sequence[int]") -> Objective
     except KeyError:
         known = ", ".join(sorted(table))
         raise ValueError(f"unknown objective {name!r} at dims {dims.dims}; known: {known}")
-    if bound.tangle:
-        return lambda psi: bound.evaluate(density_from_pure(psi), tau=three_tangle(psi).tau)
-    return lambda psi: bound.evaluate(density_from_pure(psi))
+    return bound.evaluate
 
 
 def _nelder_mead(

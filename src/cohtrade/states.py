@@ -1,4 +1,4 @@
-"""Dense multipartite state algebra: types, indexing, reduction, sampling.
+"""Dense multipartite state algebra: types, reduction, sampling.
 
 Conventions used throughout the package:
 
@@ -37,14 +37,10 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise InvalidStateError(f"every {what} entry must be finite, got NaN or inf")
 
 
-def _require_hermitian(mat: np.ndarray) -> None:
+def _require_unit_trace_hermitian(mat: np.ndarray) -> None:
     _require_finite(mat, "matrix")
     if not np.abs(mat - mat.conj().T).max() <= EPS_HERM:
         raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
-
-
-def _require_unit_trace_hermitian(mat: np.ndarray) -> None:
-    _require_hermitian(mat)
     trace = complex(np.trace(mat))
     if not abs(trace - 1.0) <= EPS_NORM:
         raise InvalidStateError(f"trace {trace!r} deviates from 1 by more than {EPS_NORM}")
@@ -59,6 +55,11 @@ def _require_three_qubits(dims: "LocalDims") -> None:
         raise ValueError(f"three-qubit state required, got dims {dims.dims}")
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, but not a bool (which is an int to Python)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_subsystem(parties: "SubsystemSet | Iterable[int]") -> "SubsystemSet":
     return parties if isinstance(parties, SubsystemSet) else SubsystemSet(tuple(parties))
 
@@ -71,7 +72,7 @@ class LocalDims:
 
     def __post_init__(self) -> None:
         dims = tuple(self.dims)
-        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+        if not all(_is_integer(d) for d in dims):
             raise InvalidStateError(f"every local dimension must be an integer, got {dims!r}")
         dims = tuple(int(d) for d in dims)
         object.__setattr__(self, "dims", dims)
@@ -115,7 +116,7 @@ class SubsystemSet:
 
     def __post_init__(self) -> None:
         parties = tuple(self.parties)
-        if any(isinstance(p, bool) or not isinstance(p, (int, np.integer)) for p in parties):
+        if not all(_is_integer(p) for p in parties):
             raise ValueError(f"party indices must be integers, got {parties!r}")
         parties = tuple(int(p) for p in parties)
         object.__setattr__(self, "parties", parties)
@@ -206,13 +207,10 @@ class DensityOperator:
             )
         return self
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
     @classmethod
     def _trusted(cls, dims: LocalDims, mat: np.ndarray) -> "DensityOperator":
         # fast path for freshly allocated results of invariant-preserving
-        # operations (outer products, partial traces, tensor products)
+        # operations (outer products, partial traces)
         mat.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "dims", dims)
@@ -236,33 +234,6 @@ def validate_stack(dims: LocalDims, mats: np.ndarray) -> None:
             return
     for mat in mats:
         DensityOperator._trusted(dims, mat).validate()
-
-
-def encode_index(digits: Sequence[int], dims: "LocalDims | Sequence[int]") -> int:
-    """Flatten per-party basis labels into a single index, party 1 most significant."""
-    dims = _as_dims(dims)
-    digits = tuple(int(x) for x in digits)
-    if len(digits) != dims.n_parties:
-        raise ValueError(f"got {len(digits)} digits for {dims.n_parties} parties")
-    flat = 0
-    for digit, dim in zip(digits, dims):
-        if not 0 <= digit < dim:
-            raise ValueError(f"digit {digit} out of range for local dimension {dim}")
-        flat = flat * dim + digit
-    return flat
-
-
-def decode_index(index: int, dims: "LocalDims | Sequence[int]") -> tuple[int, ...]:
-    """Inverse of :func:`encode_index`."""
-    dims = _as_dims(dims)
-    index = int(index)
-    if not 0 <= index < dims.total_dim:
-        raise ValueError(f"index {index} out of range for total dimension {dims.total_dim}")
-    digits = []
-    for dim in reversed(dims.dims):
-        index, digit = divmod(index, dim)
-        digits.append(digit)
-    return tuple(reversed(digits))
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:
@@ -299,20 +270,6 @@ def partial_trace(
     reduced = np.einsum(tensor, subscripts, out)
     d = kept_dims.total_dim
     return DensityOperator._trusted(kept_dims, np.ascontiguousarray(reduced.reshape(d, d)))
-
-
-def kron(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Tensor product; ``a``'s parties come first."""
-    return DensityOperator._trusted(LocalDims(a.dims.dims + b.dims.dims), np.kron(a.mat, b.mat))
-
-
-def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    _require_hermitian(mat)
-    return np.linalg.eigvalsh(mat)[::-1]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -362,7 +319,8 @@ def sample_ginibre_mixed(
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (D, rank)."""
     dims = _as_dims(dims)
     d = dims.total_dim
-    rank = int(rank)
+    if not _is_integer(rank):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in 1..{d}, got {rank}")
     rng = np.random.default_rng(seed)

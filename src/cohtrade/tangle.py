@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coherence import RESIDUAL_WEIGHTS
@@ -14,21 +12,12 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
 
 
-@dataclass(frozen=True)
-class TangleBreakdown:
-    """Degree-4 amplitude invariants and the tangle tau = 4|d1 - 2 d2 + 4 d3|."""
+def three_tangle(psi: PureState) -> float:
+    """Tangle tau = 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state.
 
-    d1: complex
-    d2: complex
-    d3: complex
-    tau: float
-
-
-def three_tangle(psi: PureState) -> TangleBreakdown:
-    """Tangle of a pure three-qubit state from its amplitude polynomial.
-
-    The d-terms use complex amplitude products (squares, not moduli); the
-    absolute value is taken once at the end.
+    The d-terms are degree-4 amplitude invariants built from complex
+    amplitude products (squares, not moduli); the absolute value is taken
+    once at the end.
     """
     _require_three_qubits(psi.dims)
     a000, a001, a010, a011, a100, a101, a110, a111 = psi.amps
@@ -42,8 +31,7 @@ def three_tangle(psi: PureState) -> TangleBreakdown:
         + a101 * a010 * a110 * a001
     )
     d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    return TangleBreakdown(complex(d1), complex(d2), complex(d3), float(tau))
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
 _NEGATE_RE = np.array([[[-1.0]], [[1.0]]])
@@ -73,7 +61,7 @@ _LEVEL3 = np.array([4, 2, 1, 2, 1, 1, 3, 4])
 
 
 def three_tangle_stack(amps: np.ndarray) -> np.ndarray:
-    """``three_tangle(psi).tau`` for every row of a ``(B, 8)`` amplitude stack.
+    """:func:`three_tangle` of every row of a ``(B, 8)`` amplitude stack.
 
     Bit-identical to the scalar formula: every complex product and sum is
     taken in the same order, the modulus is ``np.hypot`` as in ``abs`` of a

@@ -4,7 +4,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cohtrade import sample_ginibre_mixed, sample_haar_pure, subset_coherence, three_tangle
+from cohtrade import (
+    CSV_HEADER,
+    DensityOperator,
+    InequalityResult,
+    LocalDims,
+    sample_ginibre_mixed,
+    sample_haar_pure,
+    subset_coherence,
+    three_tangle,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +31,24 @@ def ginibre_three_qubit():
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0
+
+
+def kron(a, b):
+    """Tensor product of two density operators; ``a``'s parties come first."""
+    return DensityOperator(LocalDims(a.dims.dims + b.dims.dims), np.kron(a.mat, b.mat))
+
+
+def read_results_csv(fh):
+    """The result rows of a ``CSV_HEADER`` file, as written by ``write_results_csv``."""
+    assert fh.readline().rstrip("\n") == CSV_HEADER
+    results = []
+    for line in fh:
+        name, lhs, rhs, slack, holds, tol = line.rstrip("\n").split(",")
+        assert holds in ("true", "false")
+        results.append(
+            InequalityResult(name, float(lhs), float(rhs), float(slack), holds == "true", float(tol))
+        )
+    return results
 
 
 def paper_rhs(rho, psi=None):
@@ -47,7 +74,7 @@ def paper_rhs(rho, psi=None):
             total += c(*subset)
         rhs[f"cor{1 if dims.all_qubits else 2}-m{m}"] = total / math.comb(n - 1, m - 1)
     if psi is not None and dims.dims == (2, 2, 2):
-        tau = three_tangle(psi).tau
+        tau = three_tangle(psi)
         rhs["thm3"] = (c(1, 2) + c(1, 3) + c(2, 3)) / 2 + tau
         rhs["eq10"] = c(1) + c(2) + c(3) + tau
     return rhs

@@ -189,7 +189,7 @@ def test_criterion_6_tangle_oracle_equivalence(haar_tangle_ensemble):
         max_diff = 0.0
         min_slack = math.inf
         for psi in haar_tangle_ensemble:
-            tau = three_tangle(psi).tau
+            tau = three_tangle(psi)
             max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
             min_slack = min(min_slack, dprime_slack(psi) - tau)
         assert max_diff < 1e-8, f"max formula/oracle gap {max_diff}"

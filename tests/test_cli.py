@@ -12,7 +12,6 @@ from cohtrade import (
     cli_main,
     ensemble_reports,
     ghz_state,
-    parse_results_csv,
     read_state_file,
     run_suite,
     sample_ginibre_mixed,
@@ -22,6 +21,7 @@ from cohtrade import (
 )
 from cohtrade import cli
 from cohtrade.states import LocalDims
+from conftest import read_results_csv
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ def test_verify_ghz_exits_zero(ghz_file, tmp_path, capsys):
     assert rc == 0
     assert "thm3" in out
     with open(csv_path) as fh:
-        parsed = parse_results_csv(fh)
+        parsed = read_results_csv(fh)
     fresh = run_suite(read_state_file(ghz_file))
     assert [r.name for r in parsed] == [r.name for r in fresh]
     for a, b in zip(parsed, fresh):
@@ -114,12 +114,34 @@ def test_verify_conjecture_violation_does_not_fail_exit_code(tmp_path, capsys):
     assert "violated (conjecture)" in out
 
 
-def test_verify_exit_one_when_tolerance_forces_failure(ghz_file, capsys):
-    # negative tolerance demands strictly positive slack, which equality rows fail
-    rc = cli_main(["verify", str(ghz_file), "--tolerance", "-0.5"])
+def test_verify_exit_one_when_tolerance_forces_failure(tmp_path, capsys):
+    # a GHZ file whose squared norm is 1 + 9e-11, inside EPS_NORM: C123 scales
+    # with the squared norm and tau with its square, so thm3 and eq10 sit at
+    # slack -9e-11, which the default tolerance forgives and zero does not
+    psi = ghz_state(np.pi / 4)
+    path = tmp_path / "ghz_long.json"
+    write_state_file(path, cohtrade.PureState(psi.dims, psi.amps * np.sqrt(1 + 9e-11)))
+    assert cli_main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    rc = cli_main(["verify", str(path), "--tolerance", "0"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "bound violated" in captured.err
+    assert "bound violated: thm3" in captured.err
+    assert "bound violated: eq10" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1e400", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "state.json"], ["sweep", "ghz"], ["sample", "--dims", "2,2,2", "--trials", "3"]],
+    ids=["verify", "sweep", "sample"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv, value):
+    rc = cli_main(argv + [f"--tolerance={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"tolerance must be a finite number >= 0, got {value!r}" in captured.err
 
 
 def test_verify_missing_file_exits_two(capsys):
@@ -256,6 +278,12 @@ def test_sample_same_seed_is_reproducible(tmp_path):
     assert cli_main(args + ["--csv", str(a)]) == 0
     assert cli_main(args + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_ensemble_reports_reject_negative_trials():
+    assert ensemble_reports(LocalDims((2, 2, 2)), trials=0, seed=0) == []
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        ensemble_reports(LocalDims((2, 2, 2)), trials=-1, seed=0)
 
 
 def test_ensemble_reports_track_extremal_seed():

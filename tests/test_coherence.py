@@ -5,22 +5,24 @@ from cohtrade import (
     DensityOperator,
     LocalDims,
     SubsystemSet,
-    THEOREM1_D_TERMS,
     coherence_stack,
-    correlated_coherence,
     density_from_pure,
     ghz_state,
-    kron,
     l1_coherence,
     partial_trace,
+    run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
+    suite_names,
+    suite_stack,
     theorem1_slack_D,
     two_term_state,
     w_state,
 )
-from cohtrade.coherence import stack_subsets
+from cohtrade.coherence import RESIDUAL_WEIGHTS, stack_subsets
+from cohtrade.states import sample_haar_stack
+from conftest import kron
 
 EPS = 1e-9
 
@@ -199,9 +201,9 @@ def test_d_terms_match_combinatorial_generation():
             weight = 2 - agreements
             if weight > 0:
                 generated[(r, c)] = weight
-    literal = {(r, c): w for r, c, w in THEOREM1_D_TERMS}
-    assert len(THEOREM1_D_TERMS) == 32
-    assert sum(1 for *_, w in THEOREM1_D_TERMS if w == 2) == 8
+    literal = {(r, c): int(w) for (r, c), w in np.ndenumerate(RESIDUAL_WEIGHTS) if w}
+    assert len(literal) == 32
+    assert sum(1 for w in literal.values() if w == 2) == 8
     assert literal == generated
 
 
@@ -225,8 +227,14 @@ def test_slack_d_bounded_by_double_residual(haar_three_qubit, ginibre_three_qubi
 
 
 # ---------------------------------------------------------------------------
-# correlated_coherence
+# correlated coherence C_AB - C_A - C_B: the slack of the subset-family bound
+# at m = 1 on two parties (cor1-m1 for qubits, cor2-m1 for qudits)
 # ---------------------------------------------------------------------------
+
+def correlated_coherence(state):
+    (result,) = [r for r in run_suite(state) if r.name.endswith("-m1")]
+    return result.slack
+
 
 def test_correlated_coherence_of_product_of_maximally_coherent_qubits():
     q = maximally_coherent(2)
@@ -244,19 +252,18 @@ def test_correlated_coherence_of_w_reduction():
     assert correlated_coherence(rho_ab) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlated_coherence_rejects_non_bipartite():
-    with pytest.raises(ValueError):
-        correlated_coherence(sample_ginibre_mixed((2, 2, 2), 2, 0))
-
-
 def test_correlated_coherence_nonnegative_on_ensembles():
-    # pure and mixed, qubit and qutrit pairs
+    # pure and mixed, qubit and qutrit pairs, each ensemble as one stack
     count = 0
-    for dims in ((2, 2), (3, 3)):
-        for seed in range(2500):
-            psi = sample_haar_pure(dims, seed)
-            assert correlated_coherence(density_from_pure(psi)) >= -EPS
-            rho = sample_ginibre_mixed(dims, 1 + seed % LocalDims(dims).total_dim, seed)
-            assert correlated_coherence(rho) >= -EPS
-            count += 2
+    for dims, name in (((2, 2), "cor1-m1"), ((3, 3), "cor2-m1")):
+        d = LocalDims(dims).total_dim
+        seeds = range(2500)
+        pure = sample_haar_stack(dims, seeds)
+        mixed = np.stack([sample_ginibre_mixed(dims, 1 + s % d, s).mat for s in seeds])
+        for stack, is_pure in ((pure, True), (mixed, False)):
+            coherence, _, rhs = suite_stack(dims, stack)
+            slack = coherence[-1] - rhs[suite_names(dims, is_pure).index(name)]
+            assert slack.shape == (2500,)
+            assert slack.min() >= -EPS
+            count += len(slack)
     assert count == 10_000

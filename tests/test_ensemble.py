@@ -78,7 +78,7 @@ def assert_stack_matches_suite(dims, states, stack):
         # run_suite, the one-row stack, takes the same sums as a wide stack
         assert [(r.name, r.lhs, r.rhs, r.slack) for r in run_suite(state)] == expected
         if tau is not None:
-            assert tau[b] == three_tangle(state).tau
+            assert tau[b] == three_tangle(state)
 
 
 def test_haar_stack_rows_equal_single_samples():

@@ -105,7 +105,7 @@ def assert_record_matches_primitives(rec, tolerance=1e-9):
         "c12": subset_coherence(rho, (1, 2)),
         "c13": subset_coherence(rho, (1, 3)),
         "c23": subset_coherence(rho, (2, 3)),
-        "tau": three_tangle(psi).tau,
+        "tau": three_tangle(psi),
     }
     assert all(type(v) is float for v in rec.numeric.values())
     assert rec.closed == closed_forms(rec.point.family, rec.point.params)

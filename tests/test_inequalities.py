@@ -12,9 +12,7 @@ from cohtrade import (
     gamma,
     ghz_state,
     is_conjecture,
-    kron,
     l1_coherence,
-    parse_results_csv,
     resolve_objective,
     run_suite,
     sample_ginibre_mixed,
@@ -33,7 +31,7 @@ from cohtrade import (
     w_state,
     write_results_csv,
 )
-from conftest import paper_rhs
+from conftest import kron, paper_rhs, read_results_csv
 
 EPS = 1e-9
 
@@ -53,20 +51,19 @@ def maximally_coherent_qubit():
 # ---------------------------------------------------------------------------
 
 def test_gamma_2_of_4():
-    family = gamma(2, 4)
-    assert [s.parties for s in family.members] == [
+    assert [s.parties for s in gamma(2, 4)] == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
     ]
 
 
 def test_gamma_full_and_singletons():
-    assert [s.parties for s in gamma(3, 3).members] == [(1, 2, 3)]
-    assert [s.parties for s in gamma(1, 3).members] == [(1,), (2,), (3,)]
+    assert [s.parties for s in gamma(3, 3)] == [(1, 2, 3)]
+    assert [s.parties for s in gamma(1, 3)] == [(1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("m,n", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)])
 def test_gamma_counts(m, n):
-    assert len(gamma(m, n).members) == math.comb(n, m)
+    assert len(gamma(m, n)) == math.comb(n, m)
 
 
 def test_gamma_rejects_out_of_range():
@@ -220,10 +217,15 @@ def test_theorem3_w_family():
         for phi in np.linspace(0.1, 2 * np.pi - 0.1, 5):
             r = verify_theorem3(w_state(theta, phi))
             assert r.holds
-            assert three_tangle(w_state(theta, phi)).tau == 0.0
+            assert three_tangle(w_state(theta, phi)) == 0.0
 
 
 def test_theorem3_rejects_mixed_input():
+    for bound in (b for b in bounds((2, 2, 2), pure=True) if b.tangle):
+        with pytest.raises(TypeError, match="pure state required"):
+            bound.evaluate(sample_ginibre_mixed((2, 2, 2), 2, 0))
+        with pytest.raises(ValueError, match=r"three-qubit state required, got dims \(2, 2\)"):
+            bound.evaluate(sample_haar_pure((2, 2), 0))
     with pytest.raises(TypeError):
         verify_theorem3(sample_ginibre_mixed((2, 2, 2), 2, 0))
     with pytest.raises(ValueError):
@@ -305,8 +307,12 @@ def test_bound_table_matches_paper_formulas_exactly(dims):
             for r in results:
                 assert r.lhs == l1_coherence(density)
                 assert r.rhs == expected[r.name], r.name
-        for name, rhs in paper_rhs(rho, psi).items():
+        pure_rhs = paper_rhs(rho, psi)
+        for name, rhs in pure_rhs.items():
             assert resolve_objective(name, dims)(psi).rhs == rhs, name
+        for bound in bounds(dims, pure=True):
+            r = bound.evaluate(psi)
+            assert (r.lhs, r.rhs) == (l1_coherence(rho), pure_rhs[bound.name]), bound.name
         mixed_rhs = paper_rhs(mixed)
         for bound in bounds(dims, pure=False):
             r = bound.evaluate(mixed)
@@ -343,7 +349,7 @@ def test_csv_round_trip_is_bit_exact():
     buf = io.StringIO()
     write_results_csv(buf, results)
     buf.seek(0)
-    parsed = parse_results_csv(buf)
+    parsed = read_results_csv(buf)
     assert len(parsed) == len(results)
     for orig, back in zip(results, parsed):
         assert back.name == orig.name
@@ -353,9 +359,3 @@ def test_csv_round_trip_is_bit_exact():
         assert back.holds == orig.holds
         assert back.tolerance == orig.tolerance
         assert back.holds == (back.slack >= -back.tolerance)
-
-
-def test_csv_parser_skips_aggregate_rows():
-    text = "name,lhs,rhs,slack,holds,tolerance\nAGG,thm1,10,0,1e-3,7,1e-9\n"
-    parsed = parse_results_csv(io.StringIO(text))
-    assert parsed == []

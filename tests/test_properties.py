@@ -11,10 +11,8 @@ from cohtrade import (
     LocalDims,
     PureState,
     bounds,
-    density_from_pure,
     sample_ginibre_mixed,
     sample_haar_pure,
-    three_tangle,
 )
 
 DIMS = LocalDims((2, 2, 2))
@@ -30,10 +28,7 @@ states = st.tuples(
 
 def slacks(state) -> dict[str, float]:
     """Every applicable bound's slack from :meth:`Bound.evaluate`."""
-    pure = isinstance(state, PureState)
-    rho = density_from_pure(state) if pure else state
-    tau = three_tangle(state).tau if pure else 0.0
-    return {b.name: b.evaluate(rho, tau=tau).slack for b in bounds(DIMS, pure)}
+    return {b.name: b.evaluate(state).slack for b in bounds(DIMS, isinstance(state, PureState))}
 
 
 def transformed(state, unitary=None, perm=None):

@@ -9,56 +9,58 @@ from cohtrade import (
     LocalDims,
     PureState,
     SubsystemSet,
-    decode_index,
     density_from_pure,
-    encode_index,
     ghz_state,
-    hermitian_eigenvalues,
-    kron,
     partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
 )
 
-from conftest import random_hermitian
+from conftest import kron, random_hermitian
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
 
+def encode_index(digits, dims):
+    """Flat basis index of per-party labels, party 1 most significant."""
+    if len(digits) != len(dims):
+        raise ValueError(f"got {len(digits)} digits for {len(dims)} parties")
+    flat = 0
+    for digit, dim in zip(digits, dims):
+        if not 0 <= digit < dim:
+            raise ValueError(f"digit {digit} out of range for local dimension {dim}")
+        flat = flat * dim + digit
+    return flat
+
+
+def decode_index(index, dims):
+    """Inverse of :func:`encode_index`."""
+    if not 0 <= index < math.prod(dims):
+        raise ValueError(f"index {index} out of range for dims {dims}")
+    digits = []
+    for dim in reversed(dims):
+        index, digit = divmod(index, dim)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def ptrace_by_loops(mat, dims, keep):
     """Partial trace by explicit index summation; independent of einsum."""
-    n = len(dims)
-    keep0 = [p - 1 for p in keep]
-    traced = [i for i in range(n) if i not in keep0]
-    kept_dims = [dims[i] for i in keep0]
+    kept = [p - 1 for p in keep]
+    traced = [i for i in range(len(dims)) if i not in kept]
+    kept_dims = [dims[i] for i in kept]
     dk = math.prod(kept_dims)
     out = np.zeros((dk, dk), dtype=complex)
-
-    def all_digits(ds):
-        if not ds:
-            yield ()
-            return
-        for head in range(ds[0]):
-            for tail in all_digits(ds[1:]):
-                yield (head,) + tail
-
-    for row_kept in all_digits(kept_dims):
-        for col_kept in all_digits(kept_dims):
-            r_out = encode_index(row_kept, kept_dims)
-            c_out = encode_index(col_kept, kept_dims)
-            for t in all_digits([dims[i] for i in traced]):
-                row = [0] * n
-                col = [0] * n
-                for pos, val in zip(keep0, row_kept):
-                    row[pos] = val
-                for pos, val in zip(keep0, col_kept):
-                    col[pos] = val
-                for pos, val in zip(traced, t):
-                    row[pos] = val
-                    col[pos] = val
-                out[r_out, c_out] += mat[encode_index(row, dims), encode_index(col, dims)]
+    for row in range(math.prod(dims)):
+        r = decode_index(row, dims)
+        for col in range(math.prod(dims)):
+            c = decode_index(col, dims)
+            if all(r[i] == c[i] for i in traced):
+                r_out = encode_index([r[i] for i in kept], kept_dims)
+                c_out = encode_index([c[i] for i in kept], kept_dims)
+                out[r_out, c_out] += mat[row, col]
     return out
 
 
@@ -147,8 +149,6 @@ def test_density_checks_reject_non_finite_entries(bad):
             DensityOperator(dims, mat)
         with pytest.raises(InvalidStateError, match="finite"):
             DensityOperator._trusted(dims, mat.astype(np.complex128)).validate()
-        with pytest.raises(InvalidStateError, match="finite"):
-            hermitian_eigenvalues(mat)
 
 
 def test_density_operator_structural_checks():
@@ -167,7 +167,7 @@ def test_density_operator_structural_checks():
 
 
 # ---------------------------------------------------------------------------
-# index codec
+# index codec of the loop oracle
 # ---------------------------------------------------------------------------
 
 def test_encode_index_examples():
@@ -186,12 +186,12 @@ def test_encode_index_rejects_out_of_range_digits():
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2, 2), (3, 3, 3, 3), (2, 3, 3), (5, 4, 2)])
 def test_codec_roundtrip_exhaustive(dims):
-    local = LocalDims(dims)
-    assert local.total_dim <= 81
-    for flat in range(local.total_dim):
-        digits = decode_index(flat, local)
+    assert math.prod(dims) <= 81
+    for flat in range(math.prod(dims)):
+        digits = decode_index(flat, dims)
         assert all(0 <= d < dim for d, dim in zip(digits, dims))
-        assert encode_index(digits, local) == flat
+        assert encode_index(digits, dims) == flat
+        assert flat == np.ravel_multi_index(digits, dims)
 
 
 def test_decode_index_rejects_out_of_range():
@@ -230,9 +230,9 @@ def test_density_from_pure_ghz_matches_outer_product_oracle():
 
 def test_density_from_pure_is_rank_one():
     psi = sample_haar_pure((2, 2, 2), 5)
-    eigs = hermitian_eigenvalues(density_from_pure(psi).mat)
-    assert eigs[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(eigs[1:]).max() < 1e-12
+    eigs = np.linalg.eigvalsh(density_from_pure(psi).mat)
+    assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(eigs[:-1]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_partial_trace_rejects_invalid_subset():
 
 
 # ---------------------------------------------------------------------------
-# kron
+# kron (the tests' tensor-product helper)
 # ---------------------------------------------------------------------------
 
 def test_kron_diagonal_example():
@@ -325,25 +325,27 @@ def test_kron_maximally_coherent_qubits():
 
 
 # ---------------------------------------------------------------------------
-# hermitian_eigenvalues
+# Hermitian eigenvalues (the spectrum behind DensityOperator.validate)
 # ---------------------------------------------------------------------------
 
 def test_hermitian_eigenvalues_trivial_cases():
-    assert np.allclose(hermitian_eigenvalues(np.diag([1.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(hermitian_eigenvalues(np.full((2, 2), 0.5)), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(np.linalg.eigvalsh(np.diag([1.0, 0.0])), [0.0, 1.0])
+    assert np.allclose(np.linalg.eigvalsh(np.full((2, 2), 0.5)), [0.0, 1.0], atol=1e-15)
 
 
 def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # validate takes no spectrum of a matrix that is not Hermitian
+    rho = DensityOperator._trusted(LocalDims((2,)), np.array([[1.0, 1.0], [0.0, 0.0]]) + 0j)
+    with pytest.raises(InvalidStateError, match="not Hermitian"):
+        rho.validate()
 
 
 def test_hermitian_eigenvalues_sum_to_trace():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4, 6, 8):
         mat = random_hermitian(rng, d)
-        eigs = hermitian_eigenvalues(mat)
-        assert list(eigs) == sorted(eigs, reverse=True)
+        eigs = np.linalg.eigvalsh(mat)
+        assert list(eigs) == sorted(eigs)
         assert abs(eigs.sum() - np.trace(mat).real) < 1e-10
 
 
@@ -352,7 +354,7 @@ def test_hermitian_eigenvalues_match_charpoly_roots(d):
     rng = np.random.default_rng(17)
     for _ in range(5):
         mat = random_hermitian(rng, d)
-        assert np.allclose(hermitian_eigenvalues(mat), charpoly_roots(mat), atol=1e-8)
+        assert np.allclose(np.linalg.eigvalsh(mat)[::-1], charpoly_roots(mat), atol=1e-8)
 
 
 def test_wootters_matrix_spectrum_matches_charpoly_roots():
@@ -366,13 +368,13 @@ def test_wootters_matrix_spectrum_matches_charpoly_roots():
         flipped = _SYSY @ rho.mat.conj() @ _SYSY
         herm = sqrt_rho @ flipped @ sqrt_rho
         herm = (herm + herm.conj().T) / 2
-        assert np.allclose(hermitian_eigenvalues(herm), charpoly_roots(herm), atol=1e-8)
+        assert np.allclose(np.linalg.eigvalsh(herm)[::-1], charpoly_roots(herm), atol=1e-8)
 
 
 def test_density_operator_spectra_are_nonnegative():
     for seed in range(20):
         rho = sample_ginibre_mixed((2, 2, 2), 1 + seed % 8, seed)
-        assert hermitian_eigenvalues(rho.mat)[-1] >= -1e-10
+        assert np.linalg.eigvalsh(rho.mat)[0] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +405,12 @@ def test_haar_first_amplitude_moment():
 
 def test_ginibre_rank_one_is_pure():
     rho = sample_ginibre_mixed((2, 2, 2), 1, 7)
-    assert abs(rho.purity() - 1.0) < 1e-10
+    assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) < 1e-10
 
 
 def test_ginibre_full_rank_is_mixed():
     rho = sample_ginibre_mixed((2, 2, 2), 8, 7)
-    assert rho.purity() < 1.0
+    assert np.trace(rho.mat @ rho.mat).real < 1.0
 
 
 def test_ginibre_samples_validate():
@@ -428,3 +430,12 @@ def test_ginibre_rejects_bad_rank():
         sample_ginibre_mixed((2, 2), 0, 0)
     with pytest.raises(ValueError):
         sample_ginibre_mixed((2, 2), 5, 0)
+    for rank in (2.7, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            sample_ginibre_mixed((2, 2), rank, 0)
+
+
+def test_ginibre_accepts_numpy_integer_rank():
+    expected = sample_ginibre_mixed((2, 2), 2, 9).mat
+    for rank in (np.int64(2), np.int32(2)):
+        assert np.array_equal(sample_ginibre_mixed((2, 2), rank, 9).mat, expected)
