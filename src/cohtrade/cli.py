@@ -3,27 +3,24 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .coherence import EPS_INEQ
 from .ensemble import ensemble_reports
-from .families import FAMILIES, QUANTITIES, default_grid, family_sweep
+from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, family_sweep
 from .inequalities import (
     CSV_HEADER,
     InequalityResult,
+    check_tolerance,
     format_real,
     is_conjecture,
     run_suite,
     write_results_csv,
 )
-from .search import minimize_slack
+from .search import DEFAULT_ITERATIONS, DEFAULT_ROUNDS, minimize_slack
 from .states import InvalidStateError, LocalDims, sample_haar_pure
 from .stateio import read_state_file
 from .tangle import ckw_tangle_oracle, dprime_slack, three_tangle
-
-_PARAM_NAMES = {"ghz": ("phi",), "w": ("theta", "phi"), "two-term": ("alpha",)}
-
 
 def _print_result_table(results: list[InequalityResult], out) -> None:
     print(f"{'name':<14}{'lhs':<24}{'rhs':<24}{'slack':<24}holds", file=out)
@@ -36,12 +33,7 @@ def _print_result_table(results: list[InequalityResult], out) -> None:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        state = read_state_file(args.statefile)
-    except (OSError, InvalidStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = run_suite(state, args.tolerance)
+    results = run_suite(read_state_file(args.statefile), args.tolerance)
     _print_result_table(results, sys.stdout)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -55,8 +47,6 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     grid = default_grid(args.family, args.points)
     records = family_sweep(args.family, grid, args.tolerance)
-    param_names = _PARAM_NAMES[args.family]
-
     worst = {q: 0.0 for q in QUANTITIES}
     min_slack: dict[str, float] = {}
     for rec in records:
@@ -74,7 +64,7 @@ def _cmd_sweep(args) -> int:
     if args.csv:
         verifier_names = [r.name for r in records[0].results]
         header = (
-            ["family", "index", *param_names]
+            ["family", "index", *FAMILY_PARAMETERS[args.family]]
             + [col for q in QUANTITIES for col in (f"{q}_closed", q)]
             + [col for v in verifier_names for col in (f"{v}:slack", f"{v}:holds")]
         )
@@ -94,14 +84,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_sample(args) -> int:
     dims = args.dims
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be >= 1")
     if args.rank is not None and not args.mixed:
-        print("error: --rank requires --mixed", file=sys.stderr)
-        return 2
-    if args.rank is not None and not 1 <= args.rank <= dims.total_dim:
-        print(f"error: --rank must be in 1..{dims.total_dim}", file=sys.stderr)
-        return 2
+        raise ValueError("--rank requires --mixed")
     reports = ensemble_reports(dims, args.trials, args.seed, args.mixed, args.rank, args.tolerance)
     kind = "mixed" if args.mixed else "pure"
     print(f"dims {dims.dims} {kind}: {args.trials} trials, base seed {args.seed}")
@@ -141,13 +126,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_search(args) -> int:
     dims = args.dims
-    try:
-        outcome = minimize_slack(
-            args.objective, dims, args.restarts, args.seed, args.iterations, args.rounds
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = minimize_slack(
+        args.objective, dims, args.restarts, args.seed, args.iterations, args.rounds
+    )
     print(f"objective {outcome.objective} at dims {dims.dims}")
     print(f"  best slack:  {outcome.best_value:.17g}")
     print(f"  evaluations: {outcome.evaluations}")
@@ -160,8 +141,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be >= 1")
     dims = LocalDims((2, 2, 2))
     max_diff = 0.0
     min_dprime_slack = float("inf")
@@ -191,12 +171,10 @@ def _dims_arg(text: str) -> LocalDims:
 
 def _tolerance_arg(text: str) -> float:
     try:
-        tolerance = float(text)
-    except ValueError:
-        tolerance = math.nan
-    if not 0.0 <= tolerance < math.inf:  # NaN fails this test
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
-    return tolerance
+        return check_tolerance(float(text))
+    except ValueError:  # also a non-numeric text
+        message = f"tolerance must be a finite number >= 0, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims_arg, default="2,2,2")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--rounds", type=int, default=12, help="simplex re-inflations per restart")
+    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    p.add_argument(
+        "--rounds", type=int, default=DEFAULT_ROUNDS, help="simplex re-inflations per restart"
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("oracle", help="compare the tangle formula against its oracle")
@@ -254,7 +234,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidStateError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InvalidStateError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

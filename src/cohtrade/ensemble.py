@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ
-from .inequalities import CHUNK_ENTRIES, suite_names, suite_stack
+from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
 from .states import LocalDims, _as_dims, sample_ginibre_mixed, sample_haar_stack
 
 
@@ -49,15 +49,17 @@ def ensemble_reports(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if rank is not None and not mixed:
+        raise ValueError(f"rank applies to mixed ensembles only, got rank={rank!r}")
+    check_tolerance(tolerance)
     dims = _as_dims(dims)
-    d = dims.total_dim
-    chunk = max(1, CHUNK_ENTRIES // (d * d))
+    chunk = chunk_states(dims)
     names = suite_names(dims, not mixed) if trials > 0 else []
     bound_rows = np.arange(len(names))
     violations = np.zeros(len(names), dtype=np.int64)
     min_slack = np.full(len(names), np.inf)
     argmin_seed = [seed] * len(names)
-    rank = d if rank is None else rank
+    rank = dims.total_dim if rank is None else rank
     for start in range(seed, seed + trials, chunk):
         seeds = range(start, min(start + chunk, seed + trials))
         if mixed:

@@ -9,12 +9,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ, stack_subsets
-from .inequalities import CHUNK_ENTRIES, InequalityResult, stack_results, suite_names, suite_stack
+from .inequalities import InequalityResult, chunk_states, stack_results, suite_names, suite_stack
 from .states import LocalDims, PureState, SubsystemSet
 
-FAMILIES = ("ghz", "w", "two-term")
+#: Each family's parameter names, in the order its functions take them.
+FAMILY_PARAMETERS = {"ghz": ("phi",), "w": ("theta", "phi"), "two-term": ("alpha",)}
+FAMILIES = tuple(FAMILY_PARAMETERS)
 
 _TWO_PI = 2.0 * math.pi
+#: The domain [0, upper) of each parameter, as (upper, its label).
+_DOMAINS = {"phi": (_TWO_PI, "2pi"), "theta": (math.pi, "pi"), "alpha": (_TWO_PI, "2pi")}
 _THREE_QUBITS = LocalDims((2, 2, 2))
 
 #: Sweep quantities with known closed forms, in emission order.
@@ -59,33 +63,31 @@ def two_term_state(alpha: float) -> PureState:
     return PureState(_THREE_QUBITS, amps)
 
 
-def family_point(family: str, params: Sequence[float]) -> FamilyPoint:
-    params = tuple(float(p) for p in params)
-    if family == "ghz":
-        (phi,) = params
-        if not 0.0 <= phi < _TWO_PI:
-            raise ValueError(f"ghz parameter phi={phi} outside [0, 2pi)")
-        state = ghz_state(phi)
-    elif family == "w":
-        theta, phi = params
-        if not 0.0 <= theta < math.pi:
-            raise ValueError(f"w parameter theta={theta} outside [0, pi)")
-        if not 0.0 <= phi < _TWO_PI:
-            raise ValueError(f"w parameter phi={phi} outside [0, 2pi)")
-        state = w_state(theta, phi)
-    elif family == "two-term":
-        (alpha,) = params
-        if not 0.0 <= alpha < _TWO_PI:
-            raise ValueError(f"two-term parameter alpha={alpha} outside [0, 2pi)")
-        state = two_term_state(alpha)
-    else:
+def _family_params(family: str, params: Sequence[float]) -> tuple[float, ...]:
+    """``params`` as floats, checked against the family's parameter count."""
+    if family not in FAMILY_PARAMETERS:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    names = FAMILY_PARAMETERS[family]
+    params = tuple(float(p) for p in params)
+    if len(params) != len(names):
+        count = f"{len(names)} parameter{'s' * (len(names) > 1)}"
+        raise ValueError(f"{family} takes {count} ({', '.join(names)}), got {len(params)}")
+    return params
+
+
+def family_point(family: str, params: Sequence[float]) -> FamilyPoint:
+    params = _family_params(family, params)
+    for name, value in zip(FAMILY_PARAMETERS[family], params):
+        upper, label = _DOMAINS[name]
+        if not 0.0 <= value < upper:
+            raise ValueError(f"{family} parameter {name}={value} outside [0, {label})")
+    state = {"ghz": ghz_state, "w": w_state, "two-term": two_term_state}[family](*params)
     return FamilyPoint(family, params, state)
 
 
 def closed_forms(family: str, params: Sequence[float]) -> dict[str, float]:
     """Closed-form c123, c12, c13, c23 and tau at the given parameters."""
-    params = tuple(float(p) for p in params)
+    params = _family_params(family, params)
     if family == "ghz":
         (phi,) = params
         s, c = math.sin(phi), math.cos(phi)
@@ -104,11 +106,9 @@ def closed_forms(family: str, params: Sequence[float]) -> dict[str, float]:
         c13 = 2.0 * abs(st * ct * cp)
         c23 = 2.0 * abs(st * ct * sp)
         return {"c123": c12 + c13 + c23, "c12": c12, "c13": c13, "c23": c23, "tau": 0.0}
-    if family == "two-term":
-        (alpha,) = params
-        c = 2.0 * abs(math.cos(alpha) * math.sin(alpha))
-        return {"c123": c, "c12": c, "c13": c, "c23": 0.0, "tau": 0.0}
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    (alpha,) = params
+    c = 2.0 * abs(math.cos(alpha) * math.sin(alpha))
+    return {"c123": c, "c12": c, "c13": c, "c23": 0.0, "tau": 0.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +148,7 @@ def family_sweep(
     """
     points = [family_point(family, params) for params in grid]
     names = suite_names(_THREE_QUBITS, pure=True)
-    chunk = max(1, CHUNK_ENTRIES // _THREE_QUBITS.total_dim**2)
+    chunk = chunk_states(_THREE_QUBITS)
     records = []
     for start in range(0, len(points), chunk):
         part = points[start : start + chunk]

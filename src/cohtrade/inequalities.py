@@ -38,9 +38,14 @@ State = Union[PureState, DensityOperator]
 CONJECTURE_PREFIX = "eq4"
 
 #: Matrix entries per stacked chunk (16 B each): callers of :func:`suite_stack`
-#: hold at most ``CHUNK_ENTRIES // D^2`` states at once, so memory does not
-#: grow with the number of states.
+#: hold at most :func:`chunk_states` states at once, so memory does not grow
+#: with the number of states.
 CHUNK_ENTRIES = 1 << 16
+
+
+def chunk_states(dims: LocalDims) -> int:
+    """States per stacked chunk at ``dims``: ``CHUNK_ENTRIES // D^2``, at least one."""
+    return max(1, CHUNK_ENTRIES // dims.total_dim**2)
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,15 @@ class InequalityResult:
     tolerance: float
 
 
+def check_tolerance(tolerance: float) -> float:
+    """Return ``tolerance`` if it is a finite number >= 0, else raise ``ValueError``."""
+    if not 0.0 <= tolerance < math.inf:  # NaN fails this test
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    return tolerance
+
+
 def _result(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityResult:
+    check_tolerance(tolerance)
     slack = lhs - rhs
     return InequalityResult(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
 
@@ -264,7 +277,7 @@ def suite_stack(
     if pure:
         rho = states[:, :, None] * states.conj()[:, None, :]
     else:
-        validate_stack(dims, states)
+        validate_stack(states)
         rho = states
     index, last, divisor, tangle = _fold_plan(dims, pure)
     coherence = coherence_stack(dims, rho)
@@ -289,9 +302,10 @@ def stack_results(
 def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResult]:
     """Evaluate every bound of :func:`bounds`, in table order.
 
-    The state is evaluated as a one-row :func:`suite_stack`.  A density
-    operator is validated up front, so a malformed state yields no partial
-    results; a pure state is checked at construction.
+    The state is evaluated as a one-row :func:`suite_stack`, which validates
+    a density operator up front: the samplers and :func:`partial_trace`
+    return operators that skipped construction.  A pure state is checked at
+    construction.
     """
     if isinstance(state, PureState):
         stack = state.amps[None]

@@ -58,8 +58,7 @@ def state_from_dict(payload: dict) -> State:
         raise InvalidStateError(f"data entries must be [re, im] pairs: {exc}") from None
     if kind == "pure":
         return PureState(dims, flat)
-    d = dims.total_dim
-    return DensityOperator(dims, flat.reshape(d, d)).validate()
+    return DensityOperator(dims, flat.reshape(dims.total_dim, dims.total_dim))
 
 
 def write_state_file(path, state: State) -> None:

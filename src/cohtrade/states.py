@@ -37,15 +37,6 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise InvalidStateError(f"every {what} entry must be finite, got NaN or inf")
 
 
-def _require_unit_trace_hermitian(mat: np.ndarray) -> None:
-    _require_finite(mat, "matrix")
-    if not np.abs(mat - mat.conj().T).max() <= EPS_HERM:
-        raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
-    trace = complex(np.trace(mat))
-    if not abs(trace - 1.0) <= EPS_NORM:
-        raise InvalidStateError(f"trace {trace!r} deviates from 1 by more than {EPS_NORM}")
-
-
 def _as_dims(dims: "LocalDims | Sequence[int]") -> "LocalDims":
     return dims if isinstance(dims, LocalDims) else LocalDims(tuple(dims))
 
@@ -177,11 +168,10 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace matrix over a tensor-product space.
+    """Hermitian, unit-trace, positive matrix over a tensor-product space.
 
-    Construction checks shape, finiteness, Hermiticity and trace;
-    :meth:`validate` re-checks those (results of trusted operations skip
-    construction) and adds the positivity test, which needs a spectrum.
+    Construction checks the shape, then every density invariant with
+    :meth:`validate`; results of trusted operations skip construction.
     """
 
     dims: LocalDims
@@ -194,17 +184,12 @@ class DensityOperator:
         mat = np.array(self.mat, dtype=np.complex128)
         if mat.shape != (d, d):
             raise InvalidStateError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        _require_unit_trace_hermitian(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
+        self.validate()
 
     def validate(self) -> "DensityOperator":
-        _require_unit_trace_hermitian(self.mat)
-        min_eig = float(np.linalg.eigvalsh(self.mat)[0])
-        if not min_eig >= -EPS_PSD:
-            raise InvalidStateError(
-                f"minimum eigenvalue {min_eig!r} below -{EPS_PSD}: matrix is not positive"
-            )
+        validate_stack(self.mat[None])
         return self
 
     @classmethod
@@ -218,22 +203,35 @@ class DensityOperator:
         return obj
 
 
-def validate_stack(dims: LocalDims, mats: np.ndarray) -> None:
-    """:meth:`DensityOperator.validate` for every matrix of a ``(B, D, D)`` stack.
+def validate_stack(mats: np.ndarray) -> None:
+    """Check that every matrix of a ``(B, D, D)`` stack is a density matrix.
 
-    The checks run on the whole stack with one batched ``eigvalsh``.  If any
-    matrix fails, the matrices are validated one by one in stack order, so
-    the first failing one raises its own diagnostic.
+    Each matrix must have finite entries, be Hermitian within ``EPS_HERM``,
+    have a trace within ``EPS_NORM`` of 1 and a minimum eigenvalue of at
+    least ``-EPS_PSD``.  The first failing matrix in stack order raises the
+    message of its first failing check.  A stack that passes takes one
+    batched ``eigvalsh``.
     """
-    skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    trace_dev = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
-    ok = (skew <= EPS_HERM) & (trace_dev <= EPS_NORM)  # NaN fails both tests
-    if ok.all():
-        ok = np.linalg.eigvalsh(mats)[:, 0] >= -EPS_PSD
-        if ok.all():
-            return
-    for mat in mats:
-        DensityOperator._trusted(dims, mat).validate()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the tests below
+        skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace = np.trace(mats, axis1=1, axis2=2)
+    ok = (skew <= EPS_HERM) & (np.abs(trace - 1.0) <= EPS_NORM)  # and so does NaN
+    # only the matrices before the first structural failure need a spectrum
+    first = len(mats) if ok.all() else int(ok.argmin())
+    min_eig = np.linalg.eigvalsh(mats[:first])[:, 0]
+    positive = min_eig >= -EPS_PSD
+    if not positive.all():
+        k = int(positive.argmin())
+        raise InvalidStateError(
+            f"minimum eigenvalue {float(min_eig[k])!r} below -{EPS_PSD}: matrix is not positive"
+        )
+    if first < len(mats):
+        _require_finite(mats[first], "matrix")
+        if not skew[first] <= EPS_HERM:
+            raise InvalidStateError(f"matrix is not Hermitian within {EPS_HERM}")
+        raise InvalidStateError(
+            f"trace {complex(trace[first])!r} deviates from 1 by more than {EPS_NORM}"
+        )
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:

@@ -345,18 +345,73 @@ def test_oracle_subcommand(capsys):
     assert "agreement within 1e-8: yes" in out
 
 
-def test_module_entry_point_runs_without_warnings():
-    # the package must not import the CLI, or ``-m cohtrade.cli`` runs it twice
+def run_module(argv, cwd=None):
+    """``python -W error -m cohtrade.cli`` in a subprocess, with this package importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cohtrade.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohtrade.cli",
-         "oracle", "--trials", "1"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cohtrade.cli", *argv],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package must not import the CLI, or ``-m cohtrade.cli`` runs it twice
+    done = run_module(["oracle", "--trials", "1"])
     assert done.returncode == 0
     assert done.stderr == ""
     assert "agreement within 1e-8: yes" in done.stdout
+
+
+def _write_density(path, entries):
+    path.write_text(json.dumps({"dims": [2], "kind": "density", "data": entries}))
+
+
+# (argv, start of the one stderr line), run in a directory holding these files
+CLI_ERRORS = {
+    "missing-file": (["verify", "missing.json"], "error: [Errno 2] No such file or directory"),
+    "bad-json": (["verify", "bad.json"], "error: state file is not valid JSON"),
+    "nan-density": (["verify", "nan.json"], "error: every matrix entry must be finite"),
+    "inf-density": (["verify", "inf.json"], "error: every matrix entry must be finite"),
+    "non-positive-density": (["verify", "neg.json"], "error: minimum eigenvalue -0.25 below"),
+    "verify-csv-missing-dir": (
+        ["verify", "ghz.json", "--csv", "nodir/out.csv"],
+        "error: [Errno 2] No such file or directory: 'nodir/out.csv'",
+    ),
+    "sweep-csv-missing-dir": (
+        ["sweep", "ghz", "--points", "2", "--csv", "nodir/out.csv"],
+        "error: [Errno 2] No such file or directory: 'nodir/out.csv'",
+    ),
+    "sample-csv-missing-dir": (
+        ["sample", "--dims", "2,2", "--trials", "2", "--csv", "nodir/out.csv"],
+        "error: [Errno 2] No such file or directory: 'nodir/out.csv'",
+    ),
+    "rank-out-of-range": (
+        ["sample", "--dims", "2,2,2", "--trials", "2", "--mixed", "--rank", "9"],
+        "error: rank must be in 1..8, got 9",
+    ),
+    "unknown-objective": (
+        ["search", "--objective", "bogus", "--restarts", "1"],
+        "error: unknown objective 'bogus' at dims (2, 2, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_ERRORS))
+def test_cli_error_paths_exit_two_with_one_line(tmp_path, case):
+    (tmp_path / "bad.json").write_text("{")
+    _write_density(tmp_path / "nan.json", [[float("nan"), 0], [0, 0], [0, 0], [1, 0]])
+    # inf - inf in the Hermiticity test must raise no RuntimeWarning
+    _write_density(tmp_path / "inf.json", [[float("inf"), 0], [0, 0], [0, 0], [1, 0]])
+    _write_density(tmp_path / "neg.json", [[1.25, 0], [0, 0], [0, 0], [-0.25, 0]])
+    write_state_file(tmp_path / "ghz.json", ghz_state(np.pi / 4))
+    argv, first_words = CLI_ERRORS[case]
+    done = run_module(argv, cwd=tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_words), done.stderr
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_every_export_resolves():

@@ -25,7 +25,7 @@ from cohtrade import (
     suite_stack,
     three_tangle,
 )
-from cohtrade import ensemble
+from cohtrade import inequalities
 from cohtrade.states import complex_normals, sample_haar_stack
 
 WIDE_DIMS = [(2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2)]
@@ -139,7 +139,7 @@ def test_ensemble_reports_across_chunks(monkeypatch):
     five = LocalDims((2,) * 5)
     assert ensemble_reports(five, 70, 3) == reference_reports(five, 70, 3)
     # three-qubit chunks of 5 trials, pure and mixed, with a ragged last chunk
-    monkeypatch.setattr(ensemble, "CHUNK_ENTRIES", 5 * 64)
+    monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 5 * 64)
     three = LocalDims((2, 2, 2))
     assert ensemble_reports(three, 23, 11) == reference_reports(three, 23, 11)
     assert ensemble_reports(three, 23, 11, True, 2) == reference_reports(three, 23, 11, True, 2)
@@ -147,7 +147,7 @@ def test_ensemble_reports_across_chunks(monkeypatch):
 
 def test_zero_slack_ties_report_the_first_seed(monkeypatch):
     # cor1-m3 at three qubits compares C123 with itself: every slack is 0
-    monkeypatch.setattr(ensemble, "CHUNK_ENTRIES", 4 * 64)
+    monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 4 * 64)
     for mixed in (False, True):
         reports = {r.name: r for r in ensemble_reports(LocalDims((2, 2, 2)), 13, 40, mixed)}
         assert reports["cor1-m3"].min_slack == 0.0
@@ -156,6 +156,11 @@ def test_zero_slack_ties_report_the_first_seed(monkeypatch):
 
 def test_ensemble_reports_with_no_trials():
     assert ensemble_reports(LocalDims((2, 2, 2)), 0, 1) == []
+
+
+def test_rank_without_mixed_is_rejected():
+    with pytest.raises(ValueError, match="rank applies to mixed ensembles only, got rank=3"):
+        ensemble_reports(LocalDims((2, 2, 2)), 5, 0, mixed=False, rank=3)
 
 
 def _ginibre_stack(n):

@@ -16,7 +16,7 @@ from cohtrade import (
     two_term_state,
     w_state,
 )
-from cohtrade import families
+from cohtrade import families, inequalities
 
 
 def test_family_states_place_amplitudes_correctly():
@@ -37,12 +37,33 @@ def test_family_states_place_amplitudes_correctly():
 
 def test_family_point_validates_domains():
     assert family_point("ghz", (0.5,)).family == "ghz"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ghz parameter phi=7.0 outside \[0, 2pi\)$"):
         family_point("ghz", (7.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^w parameter theta=3.5 outside \[0, pi\)$"):
         family_point("w", (3.5, 0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^w parameter phi=nan outside \[0, 2pi\)$"):
+        family_point("w", (0.5, float("nan")))
+    with pytest.raises(ValueError, match=r"^two-term parameter alpha=-0.1 outside \[0, 2pi\)$"):
+        family_point("two-term", (-0.1,))
+    with pytest.raises(ValueError, match="unknown family 'bell'"):
         family_point("bell", (0.1,))
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("ghz", (0.1, 0.2), "ghz takes 1 parameter (phi), got 2"),
+        ("w", (0.1,), "w takes 2 parameters (theta, phi), got 1"),
+        ("two-term", (), "two-term takes 1 parameter (alpha), got 0"),
+    ],
+)
+def test_parameter_count_is_checked_with_the_names(family, params, message):
+    for function in (family_point, closed_forms):
+        with pytest.raises(ValueError) as exc:
+            function(family, params)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="unknown family 'bell'"):
+        closed_forms("bell", (0.1,))
 
 
 def test_default_grid_shapes():
@@ -138,7 +159,7 @@ def test_sweep_across_chunks(monkeypatch):
         return suite_stack(dims, states)
 
     monkeypatch.setattr(families, "suite_stack", counting_suite_stack)
-    monkeypatch.setattr(families, "CHUNK_ENTRIES", 5 * 64)
+    monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 5 * 64)
     chunked = family_sweep("w", grid, 1e-7)
     assert calls == [5] * 7 + [1]
     assert [rec.point.params for rec in chunked] == [rec.point.params for rec in whole]

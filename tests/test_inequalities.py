@@ -6,19 +6,24 @@ import pytest
 
 from cohtrade import (
     DensityOperator,
+    InvalidStateError,
     LocalDims,
     bounds,
     density_from_pure,
+    ensemble_reports,
+    family_sweep,
     gamma,
     ghz_state,
     is_conjecture,
     l1_coherence,
+    read_state_file,
     resolve_objective,
     run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
     suite_names,
+    suite_stack,
     three_tangle,
     two_term_state,
     verify_additive_conjecture,
@@ -30,7 +35,9 @@ from cohtrade import (
     verify_theorem3,
     w_state,
     write_results_csv,
+    write_state_file,
 )
+from cohtrade.inequalities import stack_results
 from conftest import kron, paper_rhs, read_results_csv
 
 EPS = 1e-9
@@ -288,7 +295,10 @@ def test_suite_on_qutrit_state():
 
 
 def test_suite_rejects_malformed_state():
-    bad = DensityOperator(LocalDims((2, 2, 2)), np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0]))
+    not_psd = np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0]).astype(np.complex128)
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        DensityOperator(LocalDims((2, 2, 2)), not_psd)
+    bad = DensityOperator._trusted(LocalDims((2, 2, 2)), not_psd)
     with pytest.raises(Exception, match="eigenvalue"):
         run_suite(bad)
 
@@ -359,3 +369,83 @@ def test_csv_round_trip_is_bit_exact():
         assert back.holds == orig.holds
         assert back.tolerance == orig.tolerance
         assert back.holds == (back.slack >= -back.tolerance)
+
+
+# ---------------------------------------------------------------------------
+# inputs that are not states, and tolerances that are not tolerances
+
+THREE = LocalDims((2, 2, 2))
+
+
+def not_a_state() -> np.ndarray:
+    """Hermitian with unit trace, but eigenvalue 1/8 - 7 * 0.2 < 0: not a state."""
+    mat = np.full((8, 8), -0.2, dtype=np.complex128)
+    np.fill_diagonal(mat, 1 / 8)
+    return mat
+
+
+def _via_file(mat, tmp_path):
+    path = tmp_path / "not-a-state.json"
+    write_state_file(path, DensityOperator._trusted(THREE, mat))
+    return read_state_file(path)
+
+
+THM1 = bounds(THREE, pure=False)[0]
+DENSITY_ENTRY_POINTS = {
+    "DensityOperator": lambda m, tmp: DensityOperator(THREE, m),
+    "read_state_file": _via_file,
+    "run_suite": lambda m, tmp: run_suite(DensityOperator(THREE, m)),
+    "Bound.evaluate": lambda m, tmp: THM1.evaluate(DensityOperator(THREE, m)),
+    "verify_theorem1": lambda m, tmp: verify_theorem1(DensityOperator(THREE, m)),
+    "verify_singles_sum": lambda m, tmp: verify_singles_sum(DensityOperator(THREE, m)),
+    "verify_additive_conjecture": lambda m, tmp: verify_additive_conjecture(
+        DensityOperator(THREE, m), 1
+    ),
+    "verify_marginal_split": lambda m, tmp: verify_marginal_split(DensityOperator(THREE, m), 1),
+    "verify_corollary1": lambda m, tmp: verify_corollary1(DensityOperator(THREE, m), 2),
+}
+
+
+def test_unchecked_non_positive_matrix_would_pass_thm1():
+    # why every public path must reject it: the bound itself cannot tell
+    r = verify_theorem1(DensityOperator._trusted(THREE, not_a_state()))
+    assert r.holds and r.slack == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("entry", list(DENSITY_ENTRY_POINTS), ids=list(DENSITY_ENTRY_POINTS))
+def test_every_density_entry_point_rejects_non_positive_matrix(entry, tmp_path):
+    with pytest.raises(InvalidStateError, match="minimum eigenvalue -1.27.* is not positive"):
+        DENSITY_ENTRY_POINTS[entry](not_a_state(), tmp_path)
+
+
+def _stack_results(tolerance):
+    coherence, _, rhs = suite_stack(THREE, ghz_state(0.3).amps[None])
+    return stack_results(suite_names(THREE, True), coherence, rhs, tolerance)
+
+
+_PSI = ghz_state(0.3)
+_RHO = density_from_pure(_PSI)
+TOLERANCE_ENTRY_POINTS = {
+    "Bound.evaluate": lambda t: THM1.evaluate(_PSI, t),
+    "verify_theorem1": lambda t: verify_theorem1(_RHO, t),
+    "verify_singles_sum": lambda t: verify_singles_sum(_RHO, t),
+    "verify_additive_conjecture": lambda t: verify_additive_conjecture(_RHO, 1, t),
+    "verify_marginal_split": lambda t: verify_marginal_split(_RHO, 1, t),
+    "verify_corollary1": lambda t: verify_corollary1(_RHO, 2, t),
+    "verify_theorem3": lambda t: verify_theorem3(_PSI, t),
+    "verify_eq10": lambda t: verify_eq10(_PSI, t),
+    "run_suite": lambda t: run_suite(_PSI, t),
+    "stack_results": _stack_results,
+    "family_sweep": lambda t: family_sweep("ghz", [(0.3,)], t),
+    # no trials: the tolerance is checked before any work
+    "ensemble_reports": lambda t: ensemble_reports(THREE, 0, 0, tolerance=t),
+}
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize("entry", list(TOLERANCE_ENTRY_POINTS), ids=list(TOLERANCE_ENTRY_POINTS))
+def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
+    with pytest.raises(ValueError) as exc:
+        TOLERANCE_ENTRY_POINTS[entry](tolerance)
+    assert str(exc.value) == f"tolerance must be a finite number >= 0, got {tolerance!r}"
+    TOLERANCE_ENTRY_POINTS[entry](0.0)  # while zero is a tolerance

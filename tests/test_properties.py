@@ -1,4 +1,5 @@
-"""Property tests: every bound's slack under local phases and party relabelling."""
+"""Property tests: every bound's slack under local phases and party relabelling,
+and every reduction of a state is a state."""
 
 import itertools
 
@@ -11,6 +12,8 @@ from cohtrade import (
     LocalDims,
     PureState,
     bounds,
+    density_from_pure,
+    partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
 )
@@ -74,3 +77,24 @@ def test_slacks_follow_party_permutations(state, perm):
     assert set(after) == set(before)
     for name, slack in before.items():
         assert abs(after[relabelled.get(name, name)] - slack) <= TOL, name
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([(2, 2, 2), (2, 2, 2, 2), (3, 3), (2, 3, 4), (3, 3, 3)]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.data(),
+)
+def test_every_reduction_of_a_state_is_a_state(dims, seed, rank_share, data):
+    d = LocalDims(dims).total_dim
+    rank = round(rank_share * d)  # 0: a Haar pure state
+    if rank:
+        rho = sample_ginibre_mixed(dims, rank, seed)
+    else:
+        rho = density_from_pure(sample_haar_pure(dims, seed))
+    n = len(dims)
+    keep = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+    reduced = partial_trace(rho, sorted(keep))
+    assert reduced.dims.dims == tuple(dims[p - 1] for p in sorted(keep))
+    assert reduced.validate() is reduced

@@ -159,7 +159,10 @@ def test_density_operator_structural_checks():
         DensityOperator(dims, np.eye(2))  # trace 2
     with pytest.raises(InvalidStateError):
         DensityOperator(dims, np.eye(3) / 3)  # wrong shape
-    bad = DensityOperator(dims, np.diag([1.5, -0.5]))  # Hermitian, trace 1, not PSD
+    not_psd = np.diag([1.5, -0.5])  # Hermitian, trace 1, not PSD
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        DensityOperator(dims, not_psd)
+    bad = DensityOperator._trusted(dims, not_psd.astype(np.complex128))
     with pytest.raises(InvalidStateError, match="eigenvalue"):
         bad.validate()
     good = DensityOperator(dims, np.diag([0.25, 0.75]))
