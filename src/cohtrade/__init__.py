@@ -9,6 +9,7 @@ and a batch CLI for large-scale numerical verification.
 """
 
 from .coherence import (
+    AMPLITUDE_MIN_DIM,
     EPS_INEQ,
     coherence_stack,
     gamma,
@@ -85,6 +86,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "AMPLITUDE_MIN_DIM",
     "Bound",
     "CSV_HEADER",
     "DensityOperator",

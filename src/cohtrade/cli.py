@@ -35,12 +35,13 @@ def _print_result_table(results: list[InequalityResult], out) -> None:
 def _cmd_verify(args) -> int:
     results = run_suite(read_state_file(args.statefile), args.tolerance)
     _print_result_table(results, sys.stdout)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            write_results_csv(fh, results)
     failures = [r for r in results if not r.holds and not is_conjecture(r.name)]
     for r in failures:
         print(f"bound violated: {r.name} (slack {r.slack:.3e})", file=sys.stderr)
+    # written after the report, so that an unwritable file loses no line of it
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            write_results_csv(fh, results)
     return 1 if failures else 0
 
 

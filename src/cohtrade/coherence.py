@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -69,7 +70,9 @@ def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
 
     Row i is subset ``stack_subsets(n)[i]``, so the last row is the full
     coherence.  Every entry is bit-identical to :func:`subset_coherence` on
-    that matrix alone.
+    that matrix alone.  This is the density route; pure states with
+    ``D >= AMPLITUDE_MIN_DIM`` are reduced by :func:`amplitude_coherence_stack`
+    instead, whose rows agree with these to roundoff only.
     """
     tensor = rho.reshape((len(rho),) + dims.dims + dims.dims)
     rows = []
@@ -82,6 +85,88 @@ def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
         rows.append(l1_coherence_stack(reduced.reshape(len(rho), d, d)))
     rows.append(l1_coherence_stack(rho))
     return np.stack(rows)
+
+
+#: Pure states of this total dimension and up are reduced from their
+#: amplitudes (:func:`amplitude_coherence_stack`); smaller ones, like every
+#: mixed state, from their density matrix, so that below it every result
+#: keeps the per-state primitives' bits: the three-qubit acceptance gates,
+#: the sweeps and the search goldens all run there.
+AMPLITUDE_MIN_DIM = 32
+
+#: Gram-matrix entries that one batch of subset pairs and states may hold
+#: (256 KiB): larger batches run slower, out of cache.  A pair that alone
+#: exceeds it is reduced one state at a time.
+GRAM_ENTRIES = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _amplitude_plan(dims: LocalDims, rows: "tuple[int, ...] | None") -> tuple:
+    """The subset pairs (S, S^c) that hold ``rows`` (all if None), batched by shape.
+
+    A pair is listed once, under the member that :func:`stack_subsets` lists
+    first, so each member is always reduced by the same arithmetic.  Each
+    batch is ``(index, d, first, second)``: row g of ``index`` gathers the
+    flat amplitudes of pair g with the first member's parties ahead, ``d``
+    is the first members' dimension, and ``first``/``second`` are the two
+    members' rows, or empty when ``rows`` holds none of them.
+    """
+    n, total = dims.n_parties, dims.total_dim
+    subsets = stack_subsets(n)
+    row = {s: i for i, s in enumerate(subsets)}
+    wanted = set(range(len(subsets)) if rows is None else rows)
+    flat = np.arange(total).reshape(dims.dims)
+    pairs: dict[int, list] = {}
+    for first in subsets[:-1]:
+        second = SubsystemSet(tuple(p for p in range(1, n + 1) if p not in first.parties))
+        if row[second] > row[first] and {row[first], row[second]} & wanted:
+            axes = [p - 1 for p in (*first, *second)]
+            d = math.prod(dims[p - 1] for p in first)
+            pairs.setdefault(d, []).append((flat.transpose(axes).ravel(), row[first], row[second]))
+    plan = []
+    for d, members in pairs.items():
+        size = max(1, GRAM_ENTRIES // (d * d + (total // d) ** 2))
+        for start in range(0, len(members), size):
+            index, *sides = zip(*members[start : start + size])
+            first, second = (list(side) if wanted.intersection(side) else [] for side in sides)
+            plan.append((np.stack(index), d, first, second))
+    return tuple(plan)
+
+
+def amplitude_coherence_stack(
+    dims: LocalDims, amps: np.ndarray, rows: "tuple[int, ...] | None" = None
+) -> np.ndarray:
+    """:func:`coherence_stack` of the pure states with amplitude rows ``amps`` ``(B, D)``.
+
+    Given ``rows``, only those rows are computed and returned, ``(len(rows), B)``.
+    No ``D x D`` matrix is formed.  For the pair (S, S^c), P is the amplitude
+    tensor with S's parties first, reshaped to ``(d_S, D / d_S)``: then
+    ``rho_S = P P^dag``, and ``P^dag P`` is the conjugate of ``rho_{S^c}``,
+    with the same l1 sum, so one gather serves both.  The full coherence is
+    ``(sum |a|)^2 - sum |a|^2``, which also holds for rows whose squared norm
+    is within ``EPS_NORM`` of 1 but not 1.  The sums are taken in another
+    order than the density route's, so rows agree with :func:`coherence_stack`
+    to roundoff, not bit for bit.  A state's rows depend neither on the other
+    states of the stack nor on ``rows``.
+    """
+    b, total = amps.shape
+    out = np.empty((2**dims.n_parties - 1, b))
+    for index, d, first, second in _amplitude_plan(dims, rows):
+        step = max(1, GRAM_ENTRIES // (len(index) * (d * d + (total // d) ** 2)))
+        for start in range(0, b, step):
+            block = slice(start, start + step)
+            p = amps[block, index].reshape(-1, len(index), d, total // d)
+            p_dag = p.conj().swapaxes(2, 3)
+            for members, left, right in ((first, p, p_dag), (second, p_dag, p)):
+                if members:
+                    gram = left @ right
+                    k = gram.shape[-1]
+                    l1 = l1_coherence_stack(gram.reshape(-1, k, k))
+                    out[members, block] = l1.reshape(len(p), -1).T
+    if rows is None or len(out) - 1 in rows:
+        modulus = np.abs(amps)
+        out[-1] = modulus.sum(axis=1) ** 2 - np.vecdot(modulus, modulus)
+    return out if rows is None else out[list(rows)]
 
 
 # Weights of the three-qubit residuals: entry (r, c) pairs the basis labels

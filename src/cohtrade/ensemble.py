@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import EPS_INEQ
 from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
-from .states import LocalDims, _as_dims, sample_ginibre_mixed, sample_haar_stack
+from .states import LocalDims, _as_dims, check_rank, sample_ginibre_mixed, sample_haar_stack
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ def ensemble_reports(
         raise ValueError(f"rank applies to mixed ensembles only, got rank={rank!r}")
     check_tolerance(tolerance)
     dims = _as_dims(dims)
+    if rank is not None:
+        check_rank(dims, rank)  # also when there are no trials to sample
     chunk = chunk_states(dims)
     names = suite_names(dims, not mixed) if trials > 0 else []
     bound_rows = np.arange(len(names))

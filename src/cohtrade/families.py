@@ -9,7 +9,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ, stack_subsets
-from .inequalities import InequalityResult, chunk_states, stack_results, suite_names, suite_stack
+from .inequalities import InequalityResult, check_tolerance, chunk_states, stack_results
+from .inequalities import suite_names, suite_stack
 from .states import LocalDims, PureState, SubsystemSet
 
 #: Each family's parameter names, in the order its functions take them.
@@ -146,6 +147,7 @@ def family_sweep(
     The points are evaluated in stacked chunks of :func:`suite_stack`, whose
     coherence rows and tau also give the numeric quantities.
     """
+    check_tolerance(tolerance)  # also for an empty grid
     points = [family_point(family, params) for params in grid]
     names = suite_names(_THREE_QUBITS, pure=True)
     chunk = chunk_states(_THREE_QUBITS)

@@ -27,7 +27,8 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .coherence import EPS_INEQ, _l1_sum, coherence_stack, gamma, stack_subsets
+from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _l1_sum, amplitude_coherence_stack
+from .coherence import coherence_stack, gamma, stack_subsets
 from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, density_from_pure
 from .states import _reduction_plan, _require_three_qubits, validate_stack
 from .tangle import three_tangle, three_tangle_stack
@@ -87,10 +88,12 @@ class Bound:
     tangle: bool = False
 
     def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
-        """This bound alone on ``state``, which is not validated; a pure state is projected.
+        """This bound alone on ``state``, which is not validated.
 
         A tangle bound adds ``three_tangle(state)``, so it takes pure
-        three-qubit states only.  Each subset coherence equals
+        three-qubit states only.  A pure state with ``D >= AMPLITUDE_MIN_DIM``
+        is reduced from its amplitudes, as :func:`suite_stack` reduces it;
+        any other pure state is projected.  A matrix's subset coherences equal
         :func:`subset_coherence` bit for bit: the same einsum reduction of the
         density matrix and the same l1 sum, without the intermediate state
         objects.  The rhs folds them left to right in subset order, divides
@@ -102,20 +105,30 @@ class Bound:
             if not isinstance(state, PureState):
                 raise TypeError("pure state required: the tangle bound does not cover mixed states")
             tau = three_tangle(state)
-        rho = density_from_pure(state) if isinstance(state, PureState) else state
-        mat = rho.mat
-        tensor = mat.reshape(rho.dims.dims * 2)
+        if isinstance(state, PureState) and state.dims.total_dim >= AMPLITUDE_MIN_DIM:
+            # the numbers suite_stack takes for this state, computed for this bound only
+            rows = _stack_rows(state.dims, self.subsets)
+            coherence = amplitude_coherence_stack(state.dims, state.amps[None], rows)
+            *values, lhs = coherence[:, 0].tolist()
+        else:
+            rho = density_from_pure(state) if isinstance(state, PureState) else state
+            mat = rho.mat
+            tensor = mat.reshape(rho.dims.dims * 2)
+            values = []
+            for plan in _subset_plans(rho.dims, self.subsets):
+                if plan is None:
+                    values.append(_l1_sum(mat))
+                else:
+                    subscripts, out, d = plan
+                    reduced = np.einsum(tensor, subscripts, out).reshape(d, d)
+                    values.append(_l1_sum(np.ascontiguousarray(reduced)))
+            lhs = _l1_sum(mat)
         total = 0.0
-        for plan in _subset_plans(rho.dims, self.subsets):
-            if plan is None:
-                total += _l1_sum(mat)
-            else:
-                subscripts, out, d = plan
-                reduced = np.einsum(tensor, subscripts, out).reshape(d, d)
-                total += _l1_sum(np.ascontiguousarray(reduced))
+        for value in values:
+            total += value
         total /= self.divisor
         rhs = total + tau if self.tangle else total
-        return _result(self.name, _l1_sum(mat), rhs, tolerance)
+        return _result(self.name, lhs, rhs, tolerance)
 
 
 @lru_cache(maxsize=None)
@@ -129,6 +142,13 @@ def _subset_plans(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple:
             subscripts, out, kept_dims = _reduction_plan(dims, subset)
             plans.append((subscripts, out, kept_dims.total_dim))
     return tuple(plans)
+
+
+@lru_cache(maxsize=None)
+def _stack_rows(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple[int, ...]:
+    """The :func:`coherence_stack` row of each subset, then the full set's row."""
+    order = stack_subsets(dims.n_parties)
+    return (*(order.index(s.check_against(dims)) for s in subsets), len(order) - 1)
 
 
 _PAIRS = gamma(2, 3)
@@ -265,22 +285,29 @@ def suite_stack(
     ``states`` holds pure-state amplitude rows ``(B, D)``, taken as checked,
     or density matrices ``(B, D, D)``, validated first by
     :func:`validate_stack` (the first malformed one raises its own message).
-    Returns the ``(2^n - 1, B)`` rows of :func:`coherence_stack`, whose last
-    row is every bound's lhs; tau ``(B,)`` for pure three-qubit input, else
-    None; and rhs ``(K, B)``, row k for bound k of ``bounds(dims, pure)``.
-    Every number is bit-identical to the per-state primitives
+    Returns the ``(2^n - 1, B)`` coherence rows in :func:`coherence_stack`'s
+    order, whose last row is every bound's lhs; tau ``(B,)`` for pure
+    three-qubit input, else None; and rhs ``(K, B)``, row k for bound k of
+    ``bounds(dims, pure)``.
+
+    Pure states with ``D >= AMPLITUDE_MIN_DIM`` are reduced from their
+    amplitudes (:func:`amplitude_coherence_stack`), so their numbers agree
+    with the density route to roundoff and equal :meth:`Bound.evaluate`'s.
+    Every other number is bit-identical to the per-state primitives
     (:func:`subset_coherence`, :func:`three_tangle`, :meth:`Bound.evaluate`).
+    Either way a state's numbers do not depend on the rest of the stack.
     """
     dims = _as_dims(dims)
     states = np.ascontiguousarray(states, dtype=np.complex128)
     pure = states.ndim == 2
-    if pure:
-        rho = states[:, :, None] * states.conj()[:, None, :]
+    if pure and dims.total_dim >= AMPLITUDE_MIN_DIM:
+        coherence = amplitude_coherence_stack(dims, states)
+    elif pure:
+        coherence = coherence_stack(dims, states[:, :, None] * states.conj()[:, None, :])
     else:
         validate_stack(states)
-        rho = states
+        coherence = coherence_stack(dims, states)
     index, last, divisor, tangle = _fold_plan(dims, pure)
-    coherence = coherence_stack(dims, rho)
     rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
     tau = None
     if tangle.size:

@@ -155,7 +155,9 @@ def minimize_slack(
         norm = np.linalg.norm(amps)
         if norm < 1e-12:
             return None
-        return PureState(dims, amps / norm)
+        if not math.isfinite(norm):
+            PureState(dims, amps)  # raises the constructor's message
+        return PureState._trusted(dims, amps / norm)
 
     def f(x: np.ndarray) -> float:
         psi = to_state(x)

@@ -24,7 +24,9 @@ EPS_HERM = 1e-10
 EPS_PSD = 1e-10
 
 #: Largest total dimension of a state: one dense D x D complex matrix is
-#: 256 MiB at this size, and a suite holds several.
+#: 256 MiB at this size, and a mixed state's suite holds several.  A pure
+#: state of D >= 32 forms no D x D matrix: its largest is (D/d) x (D/d), d
+#: its smallest local dimension.
 MAX_TOTAL_DIM = 4096
 
 
@@ -311,16 +313,21 @@ def sample_haar_pure(dims: "LocalDims | Sequence[int]", seed: int) -> PureState:
     return PureState._trusted(dims, sample_haar_stack(dims, (seed,))[0])
 
 
+def check_rank(dims: LocalDims, rank: int) -> None:
+    """Raise ``ValueError`` unless ``rank`` is a Ginibre rank at ``dims``: an integer in 1..D."""
+    if not _is_integer(rank):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    if not 1 <= rank <= dims.total_dim:
+        raise ValueError(f"rank must be in 1..{dims.total_dim}, got {rank}")
+
+
 def sample_ginibre_mixed(
     dims: "LocalDims | Sequence[int]", rank: int, seed: int
 ) -> DensityOperator:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (D, rank)."""
     dims = _as_dims(dims)
     d = dims.total_dim
-    if not _is_integer(rank):
-        raise ValueError(f"rank must be an integer, got {rank!r}")
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in 1..{d}, got {rank}")
+    check_rank(dims, rank)
     rng = np.random.default_rng(seed)
     g = complex_normals(rng, (d, rank))
     m = g @ g.conj().T

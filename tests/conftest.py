@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from cohtrade import (
+    AMPLITUDE_MIN_DIM,
     CSV_HEADER,
     DensityOperator,
     InequalityResult,
     LocalDims,
+    PureState,
+    density_from_pure,
+    l1_coherence,
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
@@ -51,11 +55,39 @@ def read_results_csv(fh):
     return results
 
 
-def paper_rhs(rho, psi=None):
-    """Every applicable bound's right-hand side, written out from the paper."""
+def amplitude_coherence(psi, parties):
+    """Coherence of the reduction of the pure state ``psi`` to ``parties``, from its amplitudes.
+
+    The pair (S, S^c) is reshaped with the member that ``stack_subsets``
+    lists first (the smaller, or at equal size the one holding party 1)
+    ahead, to P of shape ``(d_first, D / d_first)``: the first member's
+    reduction is ``P P^dag``, and ``P^dag P`` is the conjugate of the
+    second's.  The full set's coherence is ``(sum |a|)^2 - sum |a|^2``.
+    """
+    dims, n = psi.dims.dims, psi.dims.n_parties
+    parties = tuple(parties)
+    if len(parties) == n:
+        modulus = np.abs(psi.amps)
+        return float(modulus.sum() ** 2 - modulus @ modulus)
+    rest = tuple(p for p in range(1, n + 1) if p not in parties)
+    first, second = sorted((parties, rest), key=lambda s: (len(s), s))
+    tensor = psi.amps.reshape(dims).transpose([p - 1 for p in first + second])
+    p = tensor.reshape(math.prod(dims[p - 1] for p in first), -1)
+    gram = p @ p.conj().T if parties == first else p.conj().T @ p
+    off = np.abs(gram)
+    np.fill_diagonal(off, 0.0)
+    return float(off.sum())
+
+
+def paper_rhs(rho, psi=None, coherence=None):
+    """Every applicable bound's right-hand side, written out from the paper.
+
+    ``coherence(parties)`` gives the coherence of a reduction; by default
+    ``subset_coherence`` on ``rho``.
+    """
 
     def c(*parties):
-        return subset_coherence(rho, parties)
+        return coherence(parties) if coherence else subset_coherence(rho, parties)
 
     dims, n = rho.dims, rho.dims.n_parties
     rhs = {}
@@ -78,3 +110,32 @@ def paper_rhs(rho, psi=None):
         rhs["thm3"] = (c(1, 2) + c(1, 3) + c(2, 3)) / 2 + tau
         rhs["eq10"] = c(1) + c(2) + c(3) + tau
     return rhs
+
+
+#: How far the two routes' lhs and rhs may differ, relative to the larger.
+ROUTE_RTOL = 1e-12
+
+
+def assert_close(x, y, what):
+    assert abs(x - y) <= ROUTE_RTOL * max(abs(x), abs(y)), f"{what}: {x!r} vs {y!r}"
+
+
+def route_slacks(state):
+    """(name, lhs, rhs, slack) of every bound, on the route ``suite_stack`` takes for ``state``.
+
+    A pure state with ``D >= AMPLITUDE_MIN_DIM`` is reduced from its
+    amplitudes (``amplitude_coherence``), and then every lhs and rhs must
+    also agree with the density route's within ``ROUTE_RTOL``.  Any other
+    state is reduced from its density matrix.
+    """
+    pure = state if isinstance(state, PureState) else None
+    density = state if pure is None else density_from_pure(state)
+    lhs, rhs = l1_coherence(density), paper_rhs(density, pure)
+    if pure is not None and pure.dims.total_dim >= AMPLITUDE_MIN_DIM:
+        density_lhs, density_rhs = lhs, rhs
+        lhs = amplitude_coherence(pure, range(1, pure.dims.n_parties + 1))
+        rhs = paper_rhs(density, pure, lambda parties: amplitude_coherence(pure, parties))
+        assert_close(lhs, density_lhs, "lhs")
+        for name, value in rhs.items():
+            assert_close(value, density_rhs[name], name)
+    return [(name, lhs, value, lhs - value) for name, value in rhs.items()]

@@ -130,6 +130,24 @@ def test_verify_exit_one_when_tolerance_forces_failure(tmp_path, capsys):
     assert "bound violated: eq10" in captured.err
 
 
+def test_unwritable_csv_keeps_the_violation_lines(tmp_path, capsys, monkeypatch):
+    # the same file: the report, the violations and then the CSV's error
+    psi = ghz_state(np.pi / 4)
+    write_state_file(
+        tmp_path / "ghz_long.json", cohtrade.PureState(psi.dims, psi.amps * np.sqrt(1 + 9e-11))
+    )
+    monkeypatch.chdir(tmp_path)
+    rc = cli_main(["verify", "ghz_long.json", "--tolerance", "0", "--csv", "nodir/o.csv"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "thm3" in captured.out
+    assert captured.err.splitlines() == [
+        "bound violated: thm3 (slack -9.000e-11)",
+        "bound violated: eq10 (slack -9.000e-11)",
+        "error: [Errno 2] No such file or directory: 'nodir/o.csv'",
+    ]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1e400", "abc"])
 @pytest.mark.parametrize(
     "argv",

@@ -2,22 +2,22 @@
 
 The reference is the paper's formulas written out from ``subset_coherence``,
 ``l1_coherence`` and ``three_tangle`` (``conftest.paper_rhs``), and
-``DensityOperator.validate`` for malformed matrices.
+``DensityOperator.validate`` for malformed matrices.  Pure states with
+``D >= AMPLITUDE_MIN_DIM`` take the amplitude route, whose reference
+(``conftest.route_slacks``) reduces each state alone from its amplitudes and
+also checks it against the density route within ``ROUTE_RTOL``.
 """
 
 import numpy as np
 import pytest
-from conftest import paper_rhs
+from conftest import route_slacks
 
 from cohtrade import (
     DensityOperator,
     InvalidStateError,
     LocalDims,
-    PureState,
     TrialReport,
-    density_from_pure,
     ensemble_reports,
-    l1_coherence,
     run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
@@ -31,14 +31,6 @@ from cohtrade.states import complex_normals, sample_haar_stack
 WIDE_DIMS = [(2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2)]
 
 
-def reference_slacks(state):
-    """(name, lhs, rhs, slack) of every bound, from the paper's formulas."""
-    pure = state if isinstance(state, PureState) else None
-    density = state if pure is None else density_from_pure(state)
-    lhs = l1_coherence(density)
-    return [(name, lhs, rhs, lhs - rhs) for name, rhs in paper_rhs(density, pure).items()]
-
-
 def reference_reports(dims, trials, seed, mixed=False, rank=None, tolerance=1e-9):
     """The per-state aggregation: every trial on its own, a strict < scan for the minimum."""
     stats, order = {}, []
@@ -49,7 +41,7 @@ def reference_reports(dims, trials, seed, mixed=False, rank=None, tolerance=1e-9
             state = sample_ginibre_mixed(dims, rank if rank is not None else full, trial_seed)
         else:
             state = sample_haar_pure(dims, trial_seed)
-        for name, _, _, slack in reference_slacks(state):
+        for name, _, _, slack in route_slacks(state):
             if name not in stats:
                 stats[name] = [0, 0, float("inf"), trial_seed]
                 order.append(name)
@@ -69,7 +61,7 @@ def assert_stack_matches_suite(dims, states, stack):
     names = suite_names(dims, stack.ndim == 2)
     assert (tau is not None) == (stack.ndim == 2 and tuple(dims) == (2, 2, 2))
     for b, state in enumerate(states):
-        expected = reference_slacks(state)
+        expected = route_slacks(state)
         got = [
             (name, float(lhs[b]), float(rhs[k, b]), float(lhs[b] - rhs[k, b]))
             for k, name in enumerate(names)
@@ -161,6 +153,17 @@ def test_ensemble_reports_with_no_trials():
 def test_rank_without_mixed_is_rejected():
     with pytest.raises(ValueError, match="rank applies to mixed ensembles only, got rank=3"):
         ensemble_reports(LocalDims((2, 2, 2)), 5, 0, mixed=False, rank=3)
+
+
+@pytest.mark.parametrize("trials", [0, 2])
+@pytest.mark.parametrize("rank", [99, 0, 2.0])
+def test_rank_is_checked_before_any_trial(trials, rank):
+    # the sampler's own message, also when no trial is sampled
+    with pytest.raises(ValueError) as sampler:
+        sample_ginibre_mixed((2, 2, 2), rank, 0)
+    with pytest.raises(ValueError) as exc:
+        ensemble_reports(LocalDims((2, 2, 2)), trials, 0, mixed=True, rank=rank)
+    assert str(exc.value) == str(sampler.value)
 
 
 def _ginibre_stack(n):

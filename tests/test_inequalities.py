@@ -437,6 +437,8 @@ TOLERANCE_ENTRY_POINTS = {
     "run_suite": lambda t: run_suite(_PSI, t),
     "stack_results": _stack_results,
     "family_sweep": lambda t: family_sweep("ghz", [(0.3,)], t),
+    # an empty grid builds no result, and is checked all the same
+    "family_sweep-empty": lambda t: family_sweep("ghz", [], t),
     # no trials: the tolerance is checked before any work
     "ensemble_reports": lambda t: ensemble_reports(THREE, 0, 0, tolerance=t),
 }

@@ -1,7 +1,13 @@
 """Property tests: every bound's slack under local phases and party relabelling,
-and every reduction of a state is a state."""
+every reduction of a state is a state, and ``verify``'s exit code."""
 
+import contextlib
+import io
 import itertools
+import json
+import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,10 +18,17 @@ from cohtrade import (
     LocalDims,
     PureState,
     bounds,
+    cli_main,
     density_from_pure,
+    ghz_state,
+    is_conjecture,
     partial_trace,
+    read_state_file,
+    run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
+    state_to_dict,
+    two_term_state,
 )
 
 DIMS = LocalDims((2, 2, 2))
@@ -98,3 +111,83 @@ def test_every_reduction_of_a_state_is_a_state(dims, seed, rank_share, data):
     reduced = partial_trace(rho, sorted(keep))
     assert reduced.dims.dims == tuple(dims[p - 1] for p in sorted(keep))
     assert reduced.validate() is reduced
+
+
+def run_verify(payload, tolerance):
+    """``cohtrade verify`` on ``payload`` written as a file.
+
+    Returns the exit code, stdout, stderr and the state read back from the
+    file (None when verify exits 2).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(["verify", path, f"--tolerance={tolerance!r}"])
+        state = read_state_file(path) if rc != 2 else None
+    return rc, out.getvalue(), err.getvalue(), state
+
+
+def stretched(psi, excess):
+    """``psi`` with squared norm ``1 + excess``, which files may carry within ``EPS_NORM``."""
+    return PureState(psi.dims, psi.amps * math.sqrt(1 + excess))
+
+
+# States whose proved bounds hold, and GHZ files stretched within EPS_NORM,
+# whose tangle bounds then sit at slack -excess: forgiven by a tolerance of
+# at least excess, violated below it
+well_formed = st.one_of(
+    states,
+    st.integers(0, 2**32 - 1).map(lambda s: sample_haar_pure((2,) * 5, s)),
+    st.floats(0.0, 2 * np.pi, exclude_max=True).map(two_term_state),
+    st.floats(-9e-11, 9e-11).map(lambda e: stretched(ghz_state(np.pi / 4), e)),
+    st.floats(1e-12, 9e-11).map(lambda e: stretched(ghz_state(np.pi / 4), e)),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(well_formed, st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.0, 1e-10)))
+def test_verify_exits_zero_iff_every_proved_bound_holds(state, tolerance):
+    rc, out, err, read = run_verify(state_to_dict(state), tolerance)
+    results = run_suite(read, tolerance)
+    failed = [r.name for r in results if not r.holds and not is_conjecture(r.name)]
+    assert rc == (1 if failed else 0)
+    assert err.splitlines() == [line for line in err.splitlines() if line.startswith("bound")]
+    assert [line.split()[2] for line in err.splitlines()] == failed
+    assert all(f"{r.name:<14}" in out for r in results)
+
+
+def malformed(state, fault, entry):
+    """``state``'s file payload with one fault, placed by ``entry``."""
+    payload = state_to_dict(state)
+    data = payload["data"]
+    k = entry % len(data)
+    if fault == "non-finite":
+        data[k] = [math.nan, 0.0] if entry % 2 else [0.0, math.inf]
+    elif fault == "length":
+        del data[k]
+    elif fault == "scale":  # the squared norm or the trace moves by 1e-3 or more
+        payload["data"] = [[1.001 * re, 1.001 * im] for re, im in data]
+    elif fault == "kind":
+        payload["kind"] = "ket"
+    elif fault == "dims":
+        payload["dims"] = payload["dims"] + [1]
+    else:  # truncated JSON
+        return json.dumps(payload)[: entry % 40]
+    return payload
+
+
+@PROPERTY_SETTINGS
+@given(
+    states,
+    st.sampled_from(["non-finite", "length", "scale", "kind", "dims", "json"]),
+    st.integers(0, 10**6),
+)
+def test_verify_exits_two_on_malformed_files(state, fault, entry):
+    rc, out, err, _ = run_verify(malformed(state, fault, entry), 1e-9)
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
