@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .coherence import EPS_INEQ
-from .ensemble import ensemble_reports
+from .ensemble import TrialReport, ensemble_reports
 from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, family_sweep
 from .inequalities import (
-    CSV_HEADER,
     InequalityResult,
     check_tolerance,
+    csv_row,
     format_real,
     is_conjecture,
     run_suite,
@@ -21,6 +22,10 @@ from .search import DEFAULT_ITERATIONS, DEFAULT_ROUNDS, minimize_slack
 from .states import InvalidStateError, LocalDims, sample_haar_pure
 from .stateio import read_state_file
 from .tangle import ckw_tangle_oracle, dprime_slack, three_tangle
+
+#: Header of ``sample --csv``: ``AGG``, then the fields of each bound's :class:`TrialReport`.
+AGG_CSV_HEADER = ",".join(("AGG", *(f.name for f in fields(TrialReport))))
+
 
 def _print_result_table(results: list[InequalityResult], out) -> None:
     print(f"{'name':<14}{'lhs':<24}{'rhs':<24}{'slack':<24}holds", file=out)
@@ -106,22 +111,9 @@ def _cmd_sample(args) -> int:
             )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(AGG_CSV_HEADER + "\n")
             for rep in reports:
-                fh.write(
-                    ",".join(
-                        (
-                            "AGG",
-                            rep.name,
-                            str(rep.trials),
-                            str(rep.violations),
-                            format_real(rep.min_slack),
-                            str(rep.argmin_seed),
-                            format_real(rep.tolerance),
-                        )
-                    )
-                    + "\n"
-                )
+                fh.write(f"AGG,{csv_row(rep)}\n")
     return 0
 
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
-from .states import DensityOperator, LocalDims, SubsystemSet, _as_subsystem, partial_trace
-from .states import _reduction_plan, _require_three_qubits
+from .states import DensityOperator, LocalDims, SubsystemSet, _as_subsystem, _is_integer
+from .states import _reduction_plan, _require_three_qubits, partial_trace
 
 EPS_INEQ = 1e-9
 
@@ -49,11 +50,14 @@ def subset_coherence(rho: DensityOperator, parties: "SubsystemSet | Iterable[int
     return l1_coherence(partial_trace(rho, parties))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma(m: int, n: int) -> tuple[SubsystemSet, ...]:
     """All size-m subsets of n party labels, in lexicographic order."""
     # cached: every suite walks the same families, and building their
-    # SubsystemSets per state cost 5-10% of a mixed-state suite
+    # SubsystemSets per state cost 5-10% of a mixed-state suite; typed, so
+    # that True and 2.0 are checked rather than served as 1 and 2
+    if not _is_integer(m):
+        raise ValueError(f"subset size m must be an integer, got {m!r}")
     if not 1 <= m <= n:
         raise ValueError(f"subset size m={m} out of range 1..{n}")
     return tuple(SubsystemSet(c) for c in combinations(range(1, n + 1), m))
@@ -63,6 +67,12 @@ def gamma(m: int, n: int) -> tuple[SubsystemSet, ...]:
 def stack_subsets(n: int) -> tuple[SubsystemSet, ...]:
     """Row order of :func:`coherence_stack`: sizes 1..n in turn, each as :func:`gamma` lists it."""
     return tuple(s for m in range(1, n + 1) for s in gamma(m, n))
+
+
+@lru_cache(maxsize=None)
+def stack_rows(n: int) -> MappingProxyType:
+    """The :func:`coherence_stack` row of each subset of n parties: the one subset-to-row map."""
+    return MappingProxyType({s: i for i, s in enumerate(stack_subsets(n))})
 
 
 def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
@@ -79,9 +89,8 @@ def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
     for subset in stack_subsets(dims.n_parties)[:-1]:
         # partial_trace's einsum behind a batch axis: the traced indices
         # are summed in the same order, so each matrix reduces as alone
-        subscripts, out, kept_dims = _reduction_plan(dims, subset)
+        subscripts, out, _, d = _reduction_plan(dims, subset)
         reduced = np.einsum(tensor, [Ellipsis, *subscripts], [Ellipsis, *out])
-        d = kept_dims.total_dim
         rows.append(l1_coherence_stack(reduced.reshape(len(rho), d, d)))
     rows.append(l1_coherence_stack(rho))
     return np.stack(rows)
@@ -113,7 +122,7 @@ def _amplitude_plan(dims: LocalDims, rows: "tuple[int, ...] | None") -> tuple:
     """
     n, total = dims.n_parties, dims.total_dim
     subsets = stack_subsets(n)
-    row = {s: i for i, s in enumerate(subsets)}
+    row = stack_rows(n)
     wanted = set(range(len(subsets)) if rows is None else rows)
     flat = np.arange(total).reshape(dims.dims)
     pairs: dict[int, list] = {}

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coherence import EPS_INEQ, stack_subsets
+from .coherence import EPS_INEQ, stack_rows
 from .inequalities import InequalityResult, check_tolerance, chunk_states, stack_results
 from .inequalities import suite_names, suite_stack
 from .states import LocalDims, PureState, SubsystemSet
@@ -25,9 +25,7 @@ _THREE_QUBITS = LocalDims((2, 2, 2))
 #: Sweep quantities with known closed forms, in emission order.
 QUANTITIES = ("c123", "c12", "c13", "c23", "tau")
 #: The coherence_stack rows of c123, c12, c13 and c23.
-_QUANTITY_ROWS = [
-    stack_subsets(3).index(SubsystemSet(p)) for p in ((1, 2, 3), (1, 2), (1, 3), (2, 3))
-]
+_QUANTITY_ROWS = [stack_rows(3)[SubsystemSet(p)] for p in ((1, 2, 3), (1, 2), (1, 3), (2, 3))]
 
 
 @dataclass(frozen=True, eq=False)

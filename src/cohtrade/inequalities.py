@@ -2,10 +2,11 @@
 
 All bounds share one shape, ``C_full >= (sum of C_S over a subset family) / k``,
 with the three-tangle tau added on the right for the pure-state bounds; a
-:class:`Bound` holds the family, the divisor k and whether tau is added.
-:func:`bounds` lists the entries that apply to an input, in the order
-results are reported.  Names are stable identifiers used for CSV rows, CLI
-addressing and search objectives:
+:class:`Bound` holds the dims it is stated for (it rejects states of other
+dims), the family, the divisor k and whether tau is added.  :func:`bounds`
+lists the entries that apply to an input, in the order results are
+reported.  Names are stable identifiers used for CSV rows, CLI addressing
+and search objectives:
 
 * ``thm1``             half-sum pairwise bound, three qubits
 * ``eq3``              sum of single-party coherences, three qubits
@@ -21,16 +22,16 @@ addressing and search objectives:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
 from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _l1_sum, amplitude_coherence_stack
-from .coherence import coherence_stack, gamma, stack_subsets
-from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, density_from_pure
-from .states import _reduction_plan, _require_three_qubits, validate_stack
+from .coherence import coherence_stack, gamma, stack_rows
+from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, _is_integer
+from .states import _reduce, density_from_pure, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
@@ -80,20 +81,33 @@ def is_conjecture(name: str) -> bool:
 
 @dataclass(frozen=True)
 class Bound:
-    """C_full >= (sum of C_S over ``subsets``) / ``divisor``, plus tau if ``tangle``."""
+    """C_full >= (sum of C_S over ``subsets``) / ``divisor``, plus tau if ``tangle``, at ``dims``.
+
+    ``rows`` holds each subset's :func:`coherence_stack` row, from :func:`stack_rows`.
+    """
 
     name: str
+    dims: LocalDims
     subsets: tuple[SubsystemSet, ...]
     divisor: int
     tangle: bool = False
+    rows: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dims = _as_dims(self.dims)
+        row = stack_rows(dims.n_parties)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "rows", tuple(row[s.check_against(dims)] for s in self.subsets))
 
     def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
         """This bound alone on ``state``, which is not validated.
 
         A tangle bound adds ``three_tangle(state)``, so it takes pure
-        three-qubit states only.  A pure state with ``D >= AMPLITUDE_MIN_DIM``
-        is reduced from its amplitudes, as :func:`suite_stack` reduces it;
-        any other pure state is projected.  A matrix's subset coherences equal
+        three-qubit states only (``TypeError`` on a density operator).  Any
+        other state whose dims are not the bound's raises ``ValueError``.
+        A pure state with ``D >= AMPLITUDE_MIN_DIM`` is reduced from its
+        amplitudes, as :func:`suite_stack` reduces it; any other pure state
+        is projected.  A matrix's subset coherences equal
         :func:`subset_coherence` bit for bit: the same einsum reduction of the
         density matrix and the same l1 sum, without the intermediate state
         objects.  The rhs folds them left to right in subset order, divides
@@ -105,23 +119,22 @@ class Bound:
             if not isinstance(state, PureState):
                 raise TypeError("pure state required: the tangle bound does not cover mixed states")
             tau = three_tangle(state)
-        if isinstance(state, PureState) and state.dims.total_dim >= AMPLITUDE_MIN_DIM:
+        dims = state.dims
+        if dims.dims != self.dims.dims:
+            raise ValueError(
+                f"bound {self.name} is stated for dims {self.dims.dims}, "
+                f"got a state of dims {dims.dims}"
+            )
+        if isinstance(state, PureState) and dims.total_dim >= AMPLITUDE_MIN_DIM:
             # the numbers suite_stack takes for this state, computed for this bound only
-            rows = _stack_rows(state.dims, self.subsets)
-            coherence = amplitude_coherence_stack(state.dims, state.amps[None], rows)
-            *values, lhs = coherence[:, 0].tolist()
+            rows = (*self.rows, 2**dims.n_parties - 2)
+            *values, lhs = amplitude_coherence_stack(dims, state.amps[None], rows)[:, 0].tolist()
         else:
-            rho = density_from_pure(state) if isinstance(state, PureState) else state
-            mat = rho.mat
-            tensor = mat.reshape(rho.dims.dims * 2)
+            mat = (density_from_pure(state) if isinstance(state, PureState) else state).mat
+            n, tensor = dims.n_parties, mat.reshape(dims.dims * 2)
             values = []
-            for plan in _subset_plans(rho.dims, self.subsets):
-                if plan is None:
-                    values.append(_l1_sum(mat))
-                else:
-                    subscripts, out, d = plan
-                    reduced = np.einsum(tensor, subscripts, out).reshape(d, d)
-                    values.append(_l1_sum(np.ascontiguousarray(reduced)))
+            for s in self.subsets:
+                values.append(_l1_sum(mat if len(s.parties) == n else _reduce(dims, tensor, s)))
             lhs = _l1_sum(mat)
         total = 0.0
         for value in values:
@@ -131,39 +144,20 @@ class Bound:
         return _result(self.name, lhs, rhs, tolerance)
 
 
-@lru_cache(maxsize=None)
-def _subset_plans(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple:
-    """:func:`partial_trace`'s einsum plan for each subset, None for the full set."""
-    plans = []
-    for subset in subsets:
-        if len(subset.check_against(dims)) == dims.n_parties:
-            plans.append(None)
-        else:
-            subscripts, out, kept_dims = _reduction_plan(dims, subset)
-            plans.append((subscripts, out, kept_dims.total_dim))
-    return tuple(plans)
-
-
-@lru_cache(maxsize=None)
-def _stack_rows(dims: LocalDims, subsets: tuple[SubsystemSet, ...]) -> tuple[int, ...]:
-    """The :func:`coherence_stack` row of each subset, then the full set's row."""
-    order = stack_subsets(dims.n_parties)
-    return (*(order.index(s.check_against(dims)) for s in subsets), len(order) - 1)
-
-
+_Q3 = LocalDims((2, 2, 2))
 _PAIRS = gamma(2, 3)
-_THM1 = Bound("thm1", _PAIRS, 2)
-_EQ4 = {p: Bound(f"eq4-pivot{p}", tuple(s for s in _PAIRS if p in s), 1) for p in (1, 2, 3)}
+_THM1 = Bound("thm1", _Q3, _PAIRS, 2)
+_EQ4 = {p: Bound(f"eq4-pivot{p}", _Q3, tuple(s for s in _PAIRS if p in s), 1) for p in (1, 2, 3)}
 _EQ5 = {
-    s: Bound(f"eq5-single{s}", (SubsystemSet((s,)), SubsystemSet(sorted({1, 2, 3} - {s}))), 1)
+    s: Bound(f"eq5-single{s}", _Q3, (SubsystemSet((s,)), SubsystemSet(sorted({1, 2, 3} - {s}))), 1)
     for s in (1, 2, 3)
 }
-_THM3 = Bound("thm3", _PAIRS, 2, tangle=True)
-_EQ10 = Bound("eq10", gamma(1, 3), 1, tangle=True)
+_THM3 = Bound("thm3", _Q3, _PAIRS, 2, tangle=True)
+_EQ10 = Bound("eq10", _Q3, gamma(1, 3), 1, tangle=True)
 
 
-def _singles_bound(n: int) -> Bound:
-    return Bound("eq3", gamma(1, n), 1)
+def _singles_bound(dims: LocalDims) -> Bound:
+    return Bound("eq3", dims, gamma(1, dims.n_parties), 1)
 
 
 def corollary_name(dims, m: int) -> str:
@@ -172,14 +166,15 @@ def corollary_name(dims, m: int) -> str:
 
 def _corollary_bound(dims: LocalDims, m: int) -> Bound:
     n = dims.n_parties
-    return Bound(corollary_name(dims, m), gamma(m, n), math.comb(n - 1, m - 1))
+    return Bound(corollary_name(dims, m), dims, gamma(m, n), math.comb(n - 1, m - 1))
 
 
 def bounds(dims: "LocalDims | Sequence[int]", pure: bool) -> list[Bound]:
     """Every bound that applies to a pure or mixed input at ``dims``, in report order.
 
     The three-qubit bounds come first, then the subset-family bound for every
-    m; the tangle bounds follow for pure three-qubit input only.
+    m; the tangle bounds follow for pure three-qubit input only.  Each is
+    built for ``dims`` and rejects states of other dims.
     """
     return list(_bound_table(_as_dims(dims), bool(pure)))
 
@@ -190,7 +185,7 @@ def _bound_table(dims: LocalDims, pure: bool) -> tuple[Bound, ...]:
     three_qubit = dims.dims == (2, 2, 2)
     table: list[Bound] = []
     if three_qubit:
-        table += [_THM1, _singles_bound(3), *_EQ4.values(), *_EQ5.values()]
+        table += [_THM1, _singles_bound(dims), *_EQ4.values(), *_EQ5.values()]
     table += [_corollary_bound(dims, m) for m in range(1, dims.n_parties + 1)]
     if pure and three_qubit:
         table += [_THM3, _EQ10]
@@ -199,13 +194,12 @@ def _bound_table(dims: LocalDims, pure: bool) -> tuple[Bound, ...]:
 
 def verify_theorem1(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
     """C123 >= (C12 + C13 + C23) / 2 for any three-qubit state."""
-    _require_three_qubits(rho.dims)
     return _THM1.evaluate(rho, tolerance)
 
 
 def verify_singles_sum(rho: DensityOperator, tolerance: float = EPS_INEQ) -> InequalityResult:
     """Full coherence >= sum of all single-party coherences."""
-    return _singles_bound(rho.dims.n_parties).evaluate(rho, tolerance)
+    return _singles_bound(rho.dims).evaluate(rho, tolerance)
 
 
 def verify_additive_conjecture(
@@ -216,9 +210,8 @@ def verify_additive_conjecture(
     This bound is known to be violated; results document the violation
     rather than signalling failure.
     """
-    _require_three_qubits(rho.dims)
-    if pivot not in (1, 2, 3):
-        raise ValueError(f"pivot must be 1, 2 or 3, got {pivot}")
+    if not _is_integer(pivot) or pivot not in _EQ4:
+        raise ValueError(f"pivot must be 1, 2 or 3, got {pivot!r}")
     return _EQ4[pivot].evaluate(rho, tolerance)
 
 
@@ -226,9 +219,8 @@ def verify_marginal_split(
     rho: DensityOperator, single: int, tolerance: float = EPS_INEQ
 ) -> InequalityResult:
     """C123 >= C_single + C_complement for any three-qubit state."""
-    _require_three_qubits(rho.dims)
-    if single not in (1, 2, 3):
-        raise ValueError(f"single must be 1, 2 or 3, got {single}")
+    if not _is_integer(single) or single not in _EQ5:
+        raise ValueError(f"single must be 1, 2 or 3, got {single!r}")
     return _EQ5[single].evaluate(rho, tolerance)
 
 
@@ -268,10 +260,9 @@ def _fold_plan(dims: LocalDims, pure: bool):
     (padded to a common width), read at the bound's own length.
     """
     table = bounds(dims, pure)
-    row = {s: i for i, s in enumerate(stack_subsets(dims.n_parties))}
-    width = max(len(b.subsets) for b in table)
-    index = np.array([[row[s] for s in b.subsets] + [0] * (width - len(b.subsets)) for b in table])
-    last = (np.arange(len(table)), np.array([len(b.subsets) - 1 for b in table]))
+    width = max(len(b.rows) for b in table)
+    index = np.array([b.rows + (0,) * (width - len(b.rows)) for b in table])
+    last = (np.arange(len(table)), np.array([len(b.rows) - 1 for b in table]))
     divisor = np.array([[float(b.divisor)] for b in table])
     tangle = np.array([k for k, b in enumerate(table) if b.tangle], dtype=np.intp)
     return index, last, divisor, tangle
@@ -346,31 +337,30 @@ def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResul
 
 
 # ---------------------------------------------------------------------------
-# CSV schema: name,lhs,rhs,slack,holds,tolerance with 17 significant digits,
-# enough for exact double round-trips.  Aggregate rows are prefixed "AGG".
+# CSV schema: a record's fields in order (name,lhs,rhs,slack,holds,tolerance
+# for a result), reals with 17 significant digits, enough for exact double
+# round-trips.  Aggregate rows are prefixed "AGG".
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "name,lhs,rhs,slack,holds,tolerance"
+CSV_HEADER = ",".join(f.name for f in fields(InequalityResult))
 
 
 def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-def result_to_csv(r: InequalityResult) -> str:
-    return ",".join(
-        (
-            r.name,
-            format_real(r.lhs),
-            format_real(r.rhs),
-            format_real(r.slack),
-            "true" if r.holds else "false",
-            format_real(r.tolerance),
-        )
-    )
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_real(value) if isinstance(value, float) else str(value)
+
+
+def csv_row(record) -> str:
+    """The fields of a result or report dataclass, in order, as one CSV line."""
+    return ",".join(_csv_field(getattr(record, f.name)) for f in fields(record))
 
 
 def write_results_csv(fh: TextIO, results: Iterable[InequalityResult]) -> None:
     fh.write(CSV_HEADER + "\n")
     for r in results:
-        fh.write(result_to_csv(r) + "\n")
+        fh.write(csv_row(r) + "\n")

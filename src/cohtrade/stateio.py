@@ -47,6 +47,8 @@ def state_from_dict(payload: dict) -> State:
     if kind not in ("pure", "density"):
         raise InvalidStateError(f"kind must be 'pure' or 'density', got {kind!r}")
     data = payload["data"]
+    if not isinstance(data, list):
+        raise InvalidStateError(f"data must be a JSON list of [re, im] pairs, got {data!r}")
     expected = dims.total_dim if kind == "pure" else dims.total_dim**2
     if len(data) != expected:
         raise InvalidStateError(
@@ -56,6 +58,8 @@ def state_from_dict(payload: dict) -> State:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidStateError(f"data entries must be [re, im] pairs: {exc}") from None
+    if any(type(re) is bool or type(im) is bool for re, im in data):  # complex() takes them
+        raise InvalidStateError("data entries must be numbers, got a JSON boolean")
     if kind == "pure":
         return PureState(dims, flat)
     return DensityOperator(dims, flat.reshape(dims.total_dim, dims.total_dim))

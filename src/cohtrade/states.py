@@ -245,6 +245,7 @@ _REDUCTION_PLANS: dict = {}
 
 
 def _reduction_plan(dims: LocalDims, keep: SubsystemSet):
+    """The einsum that keeps ``keep`` at ``dims``: (subscripts, out, kept dims, their total)."""
     key = (dims.dims, keep.parties)
     plan = _REDUCTION_PLANS.get(key)
     if plan is None:
@@ -254,9 +255,15 @@ def _reduction_plan(dims: LocalDims, keep: SubsystemSet):
         subscripts = list(range(n)) + [n + i if i in kept_set else i for i in range(n)]
         out = kept + [n + i for i in kept]
         kept_dims = LocalDims(tuple(dims[i] for i in kept))
-        plan = (subscripts, out, kept_dims)
+        plan = (subscripts, out, kept_dims, kept_dims.total_dim)
         _REDUCTION_PLANS[key] = plan
     return plan
+
+
+def _reduce(dims: LocalDims, tensor: np.ndarray, keep: SubsystemSet) -> np.ndarray:
+    """The C-contiguous reduction to ``keep`` of one matrix, as its ``dims.dims * 2`` tensor."""
+    subscripts, out, _, d = _reduction_plan(dims, keep)
+    return np.ascontiguousarray(np.einsum(tensor, subscripts, out).reshape(d, d))
 
 
 def partial_trace(
@@ -265,11 +272,8 @@ def partial_trace(
     """Trace out every party not in ``keep``; kept parties stay in ascending order."""
     keep = _as_subsystem(keep).check_against(rho.dims)
     dims = rho.dims
-    subscripts, out, kept_dims = _reduction_plan(dims, keep)
-    tensor = rho.mat.reshape(dims.dims + dims.dims)
-    reduced = np.einsum(tensor, subscripts, out)
-    d = kept_dims.total_dim
-    return DensityOperator._trusted(kept_dims, np.ascontiguousarray(reduced.reshape(d, d)))
+    reduced = _reduce(dims, rho.mat.reshape(dims.dims * 2), keep)
+    return DensityOperator._trusted(_reduction_plan(dims, keep)[2], reduced)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

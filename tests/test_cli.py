@@ -65,6 +65,9 @@ def test_density_state_file_round_trip(tmp_path):
         ({"dims": "22", "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "list"),
         ({"dims": [2.7, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, "integer"),
         ({"dims": [2] * 13, "kind": "density", "data": []}, "MAX_TOTAL_DIM = 4096"),
+        ({"dims": [2], "kind": "pure", "data": [[True, False], [False, False]]}, "JSON boolean"),
+        ({"dims": [2], "kind": "pure", "data": [[1.0, False], [0.0, 0.0]]}, "JSON boolean"),
+        ({"dims": [2], "kind": "pure", "data": 5}, "data must be a JSON list"),
     ],
 )
 def test_state_file_rejection_names_invariant(tmp_path, payload, fragment):
@@ -248,6 +251,27 @@ def test_sample_pure_three_qubit_has_no_proved_violations(tmp_path, capsys):
         if not name.startswith("eq4"):
             assert violations == 0
             assert min_slack >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "GHZ"],
+        ["sweep", "w", "--points", "3"],
+        ["sample", "--dims", "2,2,2", "--trials", "4"],
+        ["sample", "--dims", "2,3", "--trials", "3", "--mixed"],
+    ],
+    ids=["verify", "sweep", "sample-pure", "sample-mixed"],
+)
+def test_every_csv_has_one_header_field_per_row_field(ghz_file, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    argv = [str(ghz_file) if a == "GHZ" else a for a in argv]
+    assert cli_main([*argv, "--csv", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    assert rows
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+    if argv[0] == "sample":
+        assert header == "AGG,name,trials,violations,min_slack,argmin_seed,tolerance"
 
 
 def test_sample_mixed_with_rank(capsys):

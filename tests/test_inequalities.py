@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cohtrade import (
     DensityOperator,
     InvalidStateError,
     LocalDims,
+    PureState,
     bounds,
     density_from_pure,
     ensemble_reports,
@@ -80,6 +83,28 @@ def test_gamma_rejects_out_of_range():
         gamma(4, 3)
 
 
+@pytest.mark.parametrize("m", [True, 2.0, "2", None])
+def test_subset_size_must_be_an_integer(m):
+    gamma(1, 3), gamma(2, 3)  # cached first: the cache must not serve True as 1 or 2.0 as 2
+    rho = sample_ginibre_mixed((2, 2, 2), 2, 3)
+    message = f"subset size m must be an integer, got {m!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gamma(m, 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_corollary1(rho, m)
+    assert verify_corollary1(rho, np.int64(2)).name == "cor1-m2"
+
+
+@pytest.mark.parametrize("label", [True, 1.0, np.float64(2.0), 0, 4])
+def test_pivot_and_single_must_be_integer_labels(label):
+    rho = diagonal_three_qubit()
+    with pytest.raises(ValueError, match=re.escape(f"pivot must be 1, 2 or 3, got {label!r}")):
+        verify_additive_conjecture(rho, label)
+    with pytest.raises(ValueError, match=re.escape(f"single must be 1, 2 or 3, got {label!r}")):
+        verify_marginal_split(rho, label)
+    assert verify_marginal_split(rho, np.int64(1)).name == "eq5-single1"
+
+
 # ---------------------------------------------------------------------------
 # individual verifiers
 # ---------------------------------------------------------------------------
@@ -107,6 +132,12 @@ def test_theorem1_on_diagonal_state():
 def test_theorem1_rejects_wrong_dims():
     with pytest.raises(ValueError):
         verify_theorem1(sample_ginibre_mixed((2, 2), 2, 0))
+    rho = sample_ginibre_mixed((2, 2, 2, 2), 2, 0)
+    message = r"bound \S+ is stated for dims \(2, 2, 2\), got a state of dims \(2, 2, 2, 2\)"
+    for verify in (verify_theorem1, lambda r: verify_additive_conjecture(r, 1),
+                   lambda r: verify_marginal_split(r, 1)):
+        with pytest.raises(ValueError, match=message):
+            verify(rho)
 
 
 def test_additive_conjecture_violated_by_two_term_state():
@@ -451,3 +482,38 @@ def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
         TOLERANCE_ENTRY_POINTS[entry](tolerance)
     assert str(exc.value) == f"tolerance must be a finite number >= 0, got {tolerance!r}"
     TOLERANCE_ENTRY_POINTS[entry](0.0)  # while zero is a tolerance
+
+
+# ---------------------------------------------------------------------------
+# each bound at its own dims
+# ---------------------------------------------------------------------------
+
+# (2, 3, 2) shares (2, 2, 2)'s party count and differs in one local dims
+TABLE_DIMS = [(2, 2), (2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2), (2,) * 5]
+
+
+@functools.lru_cache(maxsize=None)
+def _states_at(dims):
+    """A Haar pure state and a rank-2 Ginibre state at ``dims``."""
+    return sample_haar_pure(dims, 11), sample_ginibre_mixed(dims, 2, 12)
+
+
+@pytest.mark.parametrize("dims", TABLE_DIMS)
+def test_each_bound_takes_states_of_its_own_dims_only(dims):
+    for state in _states_at(dims):
+        table = bounds(dims, isinstance(state, PureState))
+        assert all(b.dims == LocalDims(dims) for b in table)
+        assert [b.evaluate(state) for b in table] == run_suite(state)
+        for other in TABLE_DIMS:
+            for wrong in _states_at(other) if other != dims else ():
+                for bound in table:
+                    if bound.tangle and not isinstance(wrong, PureState):
+                        continue  # TypeError first, see test_theorem3_rejects_mixed_input
+                    message = (
+                        "three-qubit state required" if bound.tangle else
+                        re.escape(f"bound {bound.name} is stated for dims {dims}, "
+                                  f"got a state of dims {other}")
+                    )
+                    with pytest.raises(ValueError, match=message):
+                        bound.evaluate(wrong)
+

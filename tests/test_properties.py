@@ -174,6 +174,11 @@ def malformed(state, fault, entry):
         payload["kind"] = "ket"
     elif fault == "dims":
         payload["dims"] = payload["dims"] + [1]
+    elif fault == "boolean":  # a basis state written in JSON true/false, which complex() takes
+        d = math.isqrt(len(data)) if payload["kind"] == "density" else len(data)
+        i = entry % d
+        payload["data"] = [[False, False]] * len(data)
+        payload["data"][i * (d + 1) if payload["kind"] == "density" else i] = [True, False]
     else:  # truncated JSON
         return json.dumps(payload)[: entry % 40]
     return payload
@@ -182,7 +187,7 @@ def malformed(state, fault, entry):
 @PROPERTY_SETTINGS
 @given(
     states,
-    st.sampled_from(["non-finite", "length", "scale", "kind", "dims", "json"]),
+    st.sampled_from(["non-finite", "length", "scale", "kind", "dims", "boolean", "json"]),
     st.integers(0, 10**6),
 )
 def test_verify_exits_two_on_malformed_files(state, fault, entry):
