@@ -11,9 +11,9 @@ from .ensemble import TrialReport, ensemble_reports
 from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, family_sweep
 from .inequalities import (
     InequalityResult,
+    _csv_field,
     check_tolerance,
     csv_row,
-    format_real,
     is_conjecture,
     run_suite,
     write_results_csv,
@@ -77,13 +77,12 @@ def _cmd_sweep(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
             for i, rec in enumerate(records):
-                row = [args.family, str(i)]
-                row += [format_real(p) for p in rec.point.params]
+                row = [args.family, i, *rec.point.params]
                 for q in QUANTITIES:
-                    row += [format_real(rec.closed[q]), format_real(rec.numeric[q])]
+                    row += [rec.closed[q], rec.numeric[q]]
                 for r in rec.results:
-                    row += [format_real(r.slack), "true" if r.holds else "false"]
-                fh.write(",".join(row) + "\n")
+                    row += [r.slack, r.holds]
+                fh.write(",".join(map(_csv_field, row)) + "\n")
     return 0
 
 

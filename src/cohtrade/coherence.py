@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .states import DensityOperator, LocalDims, SubsystemSet, _as_subsystem, _is_integer
-from .states import _reduction_plan, _require_three_qubits, partial_trace
+from .states import _reduce, _require_three_qubits, partial_trace
 
 EPS_INEQ = 1e-9
 
@@ -85,15 +85,9 @@ def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
     instead, whose rows agree with these to roundoff only.
     """
     tensor = rho.reshape((len(rho),) + dims.dims + dims.dims)
-    rows = []
-    for subset in stack_subsets(dims.n_parties)[:-1]:
-        # partial_trace's einsum behind a batch axis: the traced indices
-        # are summed in the same order, so each matrix reduces as alone
-        subscripts, out, _, d = _reduction_plan(dims, subset)
-        reduced = np.einsum(tensor, [Ellipsis, *subscripts], [Ellipsis, *out])
-        rows.append(l1_coherence_stack(reduced.reshape(len(rho), d, d)))
-    rows.append(l1_coherence_stack(rho))
-    return np.stack(rows)
+    subsets = stack_subsets(dims.n_parties)[:-1]  # the full set needs no reduction
+    rows = [l1_coherence_stack(_reduce(dims, tensor, s)) for s in subsets]
+    return np.stack(rows + [l1_coherence_stack(rho)])
 
 
 #: Pure states of this total dimension and up are reduced from their

@@ -17,7 +17,8 @@ import numpy as np
 
 from .coherence import EPS_INEQ
 from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
-from .states import LocalDims, _as_dims, check_rank, sample_ginibre_mixed, sample_haar_stack
+from .states import LocalDims, _as_dims, check_rank, check_seed, sample_ginibre_mixed
+from .states import sample_haar_stack
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ def ensemble_reports(
     if rank is not None and not mixed:
         raise ValueError(f"rank applies to mixed ensembles only, got rank={rank!r}")
     check_tolerance(tolerance)
+    check_seed(seed)  # also when there are no trials to sample
     dims = _as_dims(dims)
     if rank is not None:
         check_rank(dims, rank)  # also when there are no trials to sample

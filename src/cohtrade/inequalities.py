@@ -31,7 +31,7 @@ import numpy as np
 from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _l1_sum, amplitude_coherence_stack
 from .coherence import coherence_stack, gamma, stack_rows
 from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, _is_integer
-from .states import _reduce, density_from_pure, validate_stack
+from .states import EPS_NORM, _reduce, density_from_pure, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
@@ -63,14 +63,13 @@ class InequalityResult:
 
 
 def check_tolerance(tolerance: float) -> float:
-    """Return ``tolerance`` if it is a finite number >= 0, else raise ``ValueError``."""
-    if not 0.0 <= tolerance < math.inf:  # NaN fails this test
+    """Return ``tolerance`` if it is a finite non-bool number >= 0, else raise ``ValueError``."""
+    if isinstance(tolerance, bool) or not 0.0 <= tolerance < math.inf:  # NaN fails this test
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     return tolerance
 
 
 def _result(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityResult:
-    check_tolerance(tolerance)
     slack = lhs - rhs
     return InequalityResult(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
 
@@ -115,6 +114,7 @@ class Bound:
         compensates float sums from Python 3.12 on, and sum(x) / k differs
         from sum(x / k), either of which would move slacks in the last bit).
         """
+        check_tolerance(tolerance)
         if self.tangle:
             if not isinstance(state, PureState):
                 raise TypeError("pure state required: the tangle bound does not cover mixed states")
@@ -273,9 +273,9 @@ def suite_stack(
 ) -> tuple[np.ndarray, "np.ndarray | None", np.ndarray]:
     """Every bound of :func:`bounds` on a stack of states: coherence rows, tau and rhs.
 
-    ``states`` holds pure-state amplitude rows ``(B, D)``, taken as checked,
-    or density matrices ``(B, D, D)``, validated first by
-    :func:`validate_stack` (the first malformed one raises its own message).
+    ``states`` holds pure-state amplitude rows ``(B, D)`` or density matrices
+    ``(B, D, D)``, checked as :class:`PureState` and :func:`validate_stack` check
+    them, whoever built the stack: the first malformed state raises its own message.
     Returns the ``(2^n - 1, B)`` coherence rows in :func:`coherence_stack`'s
     order, whose last row is every bound's lhs; tau ``(B,)`` for pure
     three-qubit input, else None; and rhs ``(K, B)``, row k for bound k of
@@ -291,13 +291,19 @@ def suite_stack(
     dims = _as_dims(dims)
     states = np.ascontiguousarray(states, dtype=np.complex128)
     pure = states.ndim == 2
-    if pure and dims.total_dim >= AMPLITUDE_MIN_DIM:
-        coherence = amplitude_coherence_stack(dims, states)
-    elif pure:
-        coherence = coherence_stack(dims, states[:, :, None] * states.conj()[:, None, :])
-    else:
+    if not pure:
         validate_stack(states)
         coherence = coherence_stack(dims, states)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf or overflow gives NaN or inf
+            unit = np.abs(np.vecdot(states, states).real - 1.0) <= EPS_NORM  # and both fail this
+        if not unit.all():
+            for row in np.flatnonzero(~unit):
+                PureState(dims, states[row])  # raises the constructor's message
+        if dims.total_dim >= AMPLITUDE_MIN_DIM:
+            coherence = amplitude_coherence_stack(dims, states)
+        else:
+            coherence = coherence_stack(dims, states[:, :, None] * states.conj()[:, None, :])
     index, last, divisor, tangle = _fold_plan(dims, pure)
     rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
     tau = None
@@ -311,6 +317,7 @@ def stack_results(
     names: Sequence[str], coherence: np.ndarray, rhs: np.ndarray, tolerance: float
 ) -> list[list[InequalityResult]]:
     """The results of a :func:`suite_stack` call, one table-ordered list per state."""
+    check_tolerance(tolerance)
     return [
         [_result(name, lhs, r, tolerance) for name, r in zip(names, column)]
         for lhs, column in zip(coherence[-1].tolist(), rhs.T.tolist())
@@ -345,14 +352,10 @@ def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResul
 CSV_HEADER = ",".join(f.name for f in fields(InequalityResult))
 
 
-def format_real(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv_field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return format_real(value) if isinstance(value, float) else str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def csv_row(record) -> str:

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .inequalities import InequalityResult, bounds, corollary_name
-from .states import LocalDims, PureState, _as_dims, complex_normals
+from .states import LocalDims, PureState, _as_dims, check_seed, complex_normals
 
 Objective = Callable[[PureState], InequalityResult]
 
@@ -146,6 +146,7 @@ def minimize_slack(
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    check_seed(seed)
     dims = _as_dims(dims)
     d = dims.total_dim
     runner = resolve_objective(objective, dims)

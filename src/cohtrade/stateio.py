@@ -56,7 +56,7 @@ def state_from_dict(payload: dict) -> State:
         )
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer beyond a double
         raise InvalidStateError(f"data entries must be [re, im] pairs: {exc}") from None
     if any(type(re) is bool or type(im) is bool for re, im in data):  # complex() takes them
         raise InvalidStateError("data entries must be numbers, got a JSON boolean")
@@ -75,6 +75,6 @@ def read_state_file(path) -> State:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # recursion: nested too deep
             raise InvalidStateError(f"state file is not valid JSON: {exc}") from None
     return state_from_dict(payload)

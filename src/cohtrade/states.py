@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,7 +161,7 @@ class PureState:
 
     @classmethod
     def _trusted(cls, dims: LocalDims, amps: np.ndarray) -> "PureState":
-        # fast path for freshly sampled rows that passed the same checks
+        # fast path for rows that are unit vectors by construction (sampled or just normalized)
         amps.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "dims", dims)
@@ -241,29 +242,25 @@ def density_from_pure(psi: PureState) -> DensityOperator:
     return DensityOperator._trusted(psi.dims, np.outer(psi.amps, psi.amps.conj()))
 
 
-_REDUCTION_PLANS: dict = {}
-
-
-def _reduction_plan(dims: LocalDims, keep: SubsystemSet):
-    """The einsum that keeps ``keep`` at ``dims``: (subscripts, out, kept dims, their total)."""
-    key = (dims.dims, keep.parties)
-    plan = _REDUCTION_PLANS.get(key)
-    if plan is None:
-        n = dims.n_parties
-        kept = [p - 1 for p in keep.parties]
-        kept_set = set(kept)
-        subscripts = list(range(n)) + [n + i if i in kept_set else i for i in range(n)]
-        out = kept + [n + i for i in kept]
-        kept_dims = LocalDims(tuple(dims[i] for i in kept))
-        plan = (subscripts, out, kept_dims, kept_dims.total_dim)
-        _REDUCTION_PLANS[key] = plan
-    return plan
+@lru_cache(maxsize=None)  # on the tuples: hashing the dataclasses would cost every evaluation
+def _reduction_plan(dims: tuple[int, ...], keep: tuple[int, ...]):
+    """The einsum keeping ``keep`` at ``dims``, batched: (subscripts, out, kept dims, total)."""
+    n = len(dims)
+    kept = [p - 1 for p in keep]
+    subscripts = (Ellipsis, *range(n), *(n + i if i in kept else i for i in range(n)))
+    out = (Ellipsis, *kept, *(n + i for i in kept))
+    kept_dims = LocalDims(tuple(dims[i] for i in kept))
+    return subscripts, out, kept_dims, kept_dims.total_dim
 
 
 def _reduce(dims: LocalDims, tensor: np.ndarray, keep: SubsystemSet) -> np.ndarray:
-    """The C-contiguous reduction to ``keep`` of one matrix, as its ``dims.dims * 2`` tensor."""
-    subscripts, out, _, d = _reduction_plan(dims, keep)
-    return np.ascontiguousarray(np.einsum(tensor, subscripts, out).reshape(d, d))
+    """Reduce a ``batch + dims.dims * 2`` tensor to ``keep``: C-contiguous, ``batch + (d, d)``.
+
+    The batch may be empty; each matrix reduces as it would alone (same sums, same order).
+    """
+    subscripts, out, _, d = _reduction_plan(dims.dims, keep.parties)
+    reduced = np.einsum(tensor, subscripts, out)  # out: the batch, then 2 axes per kept party
+    return np.ascontiguousarray(reduced.reshape(reduced.shape[: 1 - len(out)] + (d, d)))
 
 
 def partial_trace(
@@ -273,7 +270,7 @@ def partial_trace(
     keep = _as_subsystem(keep).check_against(rho.dims)
     dims = rho.dims
     reduced = _reduce(dims, rho.mat.reshape(dims.dims * 2), keep)
-    return DensityOperator._trusted(_reduction_plan(dims, keep)[2], reduced)
+    return DensityOperator._trusted(_reduction_plan(dims.dims, keep.parties)[2], reduced)
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -291,9 +288,9 @@ def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
 def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -> np.ndarray:
     """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
 
-    Each seed gets its own generator; one Box-Muller transform and one
-    normalization serve the whole stack, and every row passes the checks of
-    :class:`PureState` (a failing row raises its own diagnostic).
+    Each seed, taken as checked, gets its own generator; one Box-Muller
+    transform and one normalization serve the whole stack.  Uniforms in
+    [0, 1) make every row a unit vector, which ``suite_stack`` checks.
     """
     dims = _as_dims(dims)
     u = np.empty((2, len(seeds), dims.total_dim))
@@ -304,17 +301,20 @@ def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -
     z = _box_muller(u[0], u[1])
     # np.linalg.norm of one row: the real and imaginary parts as two dot products
     z /= np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
-    unit = np.abs(np.vecdot(z, z).real - 1.0) <= EPS_NORM  # NaN fails this test
-    if not unit.all():
-        for row in np.flatnonzero(~unit):
-            PureState(dims, z[row])
     return z
 
 
 def sample_haar_pure(dims: "LocalDims | Sequence[int]", seed: int) -> PureState:
     """Haar-uniform pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dims = _as_dims(dims)
-    return PureState._trusted(dims, sample_haar_stack(dims, (seed,))[0])
+    return PureState._trusted(dims, sample_haar_stack(dims, (check_seed(seed),))[0])
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if it is a non-negative integer (not a bool), else raise ``ValueError``."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def check_rank(dims: LocalDims, rank: int) -> None:
@@ -332,7 +332,7 @@ def sample_ginibre_mixed(
     dims = _as_dims(dims)
     d = dims.total_dim
     check_rank(dims, rank)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     g = complex_normals(rng, (d, rank))
     m = g @ g.conj().T
     m /= np.trace(m).real

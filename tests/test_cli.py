@@ -414,6 +414,8 @@ def _write_density(path, entries):
 CLI_ERRORS = {
     "missing-file": (["verify", "missing.json"], "error: [Errno 2] No such file or directory"),
     "bad-json": (["verify", "bad.json"], "error: state file is not valid JSON"),
+    "deep-json": (["verify", "deep.json"], "error: state file is not valid JSON: maximum recur"),
+    "huge-int": (["verify", "huge.json"], "error: data entries must be [re, im] pairs: int too"),
     "nan-density": (["verify", "nan.json"], "error: every matrix entry must be finite"),
     "inf-density": (["verify", "inf.json"], "error: every matrix entry must be finite"),
     "non-positive-density": (["verify", "neg.json"], "error: minimum eigenvalue -0.25 below"),
@@ -433,6 +435,10 @@ CLI_ERRORS = {
         ["sample", "--dims", "2,2,2", "--trials", "2", "--mixed", "--rank", "9"],
         "error: rank must be in 1..8, got 9",
     ),
+    "sample-negative-seed": (
+        ["sample", "--dims", "2,2", "--trials", "2", "--seed", "-1"],
+        "error: seed must be a non-negative integer, got -1",
+    ),
     "unknown-objective": (
         ["search", "--objective", "bogus", "--restarts", "1"],
         "error: unknown objective 'bogus' at dims (2, 2, 2)",
@@ -443,6 +449,9 @@ CLI_ERRORS = {
 @pytest.mark.parametrize("case", list(CLI_ERRORS))
 def test_cli_error_paths_exit_two_with_one_line(tmp_path, case):
     (tmp_path / "bad.json").write_text("{")
+    head = '{"dims": [2], "kind": "pure", "data": '
+    (tmp_path / "deep.json").write_text(head + "[" * 10**5 + "]" * 10**5 + "}")  # valid, too deep
+    (tmp_path / "huge.json").write_text(head + f"[[{10**400}, 0], [0, 0]]}}")  # beyond a double
     _write_density(tmp_path / "nan.json", [[float("nan"), 0], [0, 0], [0, 0], [1, 0]])
     # inf - inf in the Hermiticity test must raise no RuntimeWarning
     _write_density(tmp_path / "inf.json", [[float("inf"), 0], [0, 0], [0, 0], [1, 0]])

@@ -41,6 +41,7 @@ from cohtrade import (
     write_state_file,
 )
 from cohtrade.inequalities import stack_results
+from cohtrade.states import sample_haar_stack
 from conftest import kron, paper_rhs, read_results_csv
 
 EPS = 1e-9
@@ -449,6 +450,37 @@ def test_every_density_entry_point_rejects_non_positive_matrix(entry, tmp_path):
         DENSITY_ENTRY_POINTS[entry](not_a_state(), tmp_path)
 
 
+NOT_UNIT_ROWS = {
+    "scaled": lambda good: 3 * good,  # a unit row tripled: thm1 held with slack 26.65
+    "nan": lambda good: np.where(np.arange(len(good)) == 1, np.nan, good),
+    "inf": lambda good: np.where(np.arange(len(good)) == 0, np.inf, good),
+    "zero": lambda good: np.zeros_like(good),
+}
+
+
+def _constructor_message(dims, amps) -> str:
+    with pytest.raises(InvalidStateError) as exc:
+        PureState(dims, amps)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2,) * 5], ids=str)  # D < 32 and D >= 32
+@pytest.mark.parametrize("fault", list(NOT_UNIT_ROWS))
+def test_suite_stack_rejects_rows_that_are_not_states(dims, fault):
+    good = sample_haar_stack(dims, range(5))
+    bad = NOT_UNIT_ROWS[fault](good[1])
+    with pytest.raises(InvalidStateError) as exc:
+        suite_stack(dims, bad[None])
+    assert str(exc.value) == _constructor_message(dims, bad)
+    # the first failing row in stack order raises, whatever fails after it
+    later = NOT_UNIT_ROWS["scaled" if fault == "zero" else "zero"](good[3])
+    stack = np.vstack((good[:1], bad, good[2:3], later, good[4:]))
+    with pytest.raises(InvalidStateError) as exc:
+        suite_stack(dims, stack)
+    assert str(exc.value) == _constructor_message(dims, bad)
+    assert str(exc.value) != _constructor_message(dims, later)
+
+
 def _stack_results(tolerance):
     coherence, _, rhs = suite_stack(THREE, ghz_state(0.3).amps[None])
     return stack_results(suite_names(THREE, True), coherence, rhs, tolerance)
@@ -475,7 +507,7 @@ TOLERANCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -5.0, True])
 @pytest.mark.parametrize("entry", list(TOLERANCE_ENTRY_POINTS), ids=list(TOLERANCE_ENTRY_POINTS))
 def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
     with pytest.raises(ValueError) as exc:

@@ -1,5 +1,6 @@
 """Property tests: every bound's slack under local phases and party relabelling,
-every reduction of a state is a state, and ``verify``'s exit code."""
+every reduction of a state is a state, a stack reduces each matrix as it would
+alone, and ``verify``'s exit code."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ from cohtrade import (
     DensityOperator,
     LocalDims,
     PureState,
+    SubsystemSet,
     bounds,
     cli_main,
     density_from_pure,
@@ -30,6 +32,7 @@ from cohtrade import (
     state_to_dict,
     two_term_state,
 )
+from cohtrade.states import _reduce
 
 DIMS = LocalDims((2, 2, 2))
 TOL = 1e-12
@@ -113,6 +116,25 @@ def test_every_reduction_of_a_state_is_a_state(dims, seed, rank_share, data):
     assert reduced.validate() is reduced
 
 
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (2, 3, 4), (3, 3, 3)]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_a_stack_reduces_each_matrix_as_alone(dims, seed, batch, data):
+    dims = LocalDims(dims)
+    full_rank = dims.total_dim
+    mats = np.stack([sample_ginibre_mixed(dims, full_rank, seed + i).mat for i in range(batch)])
+    parties = st.lists(st.integers(1, dims.n_parties), min_size=1, unique=True)
+    keep = SubsystemSet(tuple(sorted(data.draw(parties))))
+    stacked = _reduce(dims, mats.reshape((batch,) + dims.dims * 2), keep)
+    alone = [_reduce(dims, m.reshape(dims.dims * 2), keep) for m in mats]
+    assert stacked.flags.c_contiguous and stacked.shape == (batch, *alone[0].shape)
+    assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+
+
 def run_verify(payload, tolerance):
     """``cohtrade verify`` on ``payload`` written as a file.
 
@@ -174,6 +196,10 @@ def malformed(state, fault, entry):
         payload["kind"] = "ket"
     elif fault == "dims":
         payload["dims"] = payload["dims"] + [1]
+    elif fault == "huge-int":  # a JSON integer beyond the range of a double
+        data[k] = [10**400, 0] if entry % 2 else [0, -(10**400)]
+    elif fault == "deep":  # valid JSON nested deeper than the decoder recurses
+        return json.dumps({**payload, "data": None}).replace("null", "[" * 10**5 + "]" * 10**5)
     elif fault == "boolean":  # a basis state written in JSON true/false, which complex() takes
         d = math.isqrt(len(data)) if payload["kind"] == "density" else len(data)
         i = entry % d
@@ -187,7 +213,9 @@ def malformed(state, fault, entry):
 @PROPERTY_SETTINGS
 @given(
     states,
-    st.sampled_from(["non-finite", "length", "scale", "kind", "dims", "boolean", "json"]),
+    st.sampled_from(
+        ["non-finite", "length", "scale", "kind", "dims", "huge-int", "deep", "boolean", "json"]
+    ),
     st.integers(0, 10**6),
 )
 def test_verify_exits_two_on_malformed_files(state, fault, entry):

@@ -10,7 +10,9 @@ from cohtrade import (
     PureState,
     SubsystemSet,
     density_from_pure,
+    ensemble_reports,
     ghz_state,
+    minimize_slack,
     partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
@@ -442,3 +444,21 @@ def test_ginibre_accepts_numpy_integer_rank():
     expected = sample_ginibre_mixed((2, 2), 2, 9).mat
     for rank in (np.int64(2), np.int32(2)):
         assert np.array_equal(sample_ginibre_mixed((2, 2), rank, 9).mat, expected)
+
+
+SEED_ENTRY_POINTS = {
+    "sample_haar_pure": lambda s: sample_haar_pure((2, 2), s),
+    "sample_ginibre_mixed": lambda s: sample_ginibre_mixed((2, 2), 2, s),
+    # no trials: the seed is checked before any work
+    "ensemble_reports": lambda s: ensemble_reports((2, 2), 0, s),
+    "minimize_slack": lambda s: minimize_slack("cor1-m1", (2, 2), 1, s, iterations=2, rounds=1),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_every_seed_entry_point_rejects_bad_seed(entry, seed):
+    with pytest.raises(ValueError) as exc:
+        SEED_ENTRY_POINTS[entry](seed)
+    assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+    SEED_ENTRY_POINTS[entry](np.int64(2**40))  # while a large numpy integer is a seed
