@@ -90,8 +90,6 @@ def _cmd_sample(args) -> int:
     dims = args.dims
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    if args.rank is not None and not args.mixed:
-        raise ValueError("--rank requires --mixed")
     reports = ensemble_reports(dims, args.trials, args.seed, args.mixed, args.rank, args.tolerance)
     kind = "mixed" if args.mixed else "pure"
     print(f"dims {dims.dims} {kind}: {args.trials} trials, base seed {args.seed}")

@@ -75,6 +75,8 @@ def read_state_file(path) -> State:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # recursion: nested too deep
+        # ValueError: bad JSON, bytes that are not UTF-8, an integer beyond
+        # int's digit limit; RecursionError: nested too deep
+        except (ValueError, RecursionError) as exc:
             raise InvalidStateError(f"state file is not valid JSON: {exc}") from None
     return state_from_dict(payload)

@@ -12,15 +12,16 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
 
 
-def three_tangle(psi: PureState) -> float:
-    """Tangle tau = 4|d1 - 2 d2 + 4 d3| of a pure three-qubit state.
+def _tangle(amps) -> float:
+    """Tangle tau = 4|d1 - 2 d2 + 4 d3| of eight complex amplitudes.
 
     The d-terms are degree-4 amplitude invariants built from complex
     amplitude products (squares, not moduli); the absolute value is taken
-    once at the end.
+    once at the end.  Python complex scalars keep every product and sum in
+    this order and rounding: numpy complex arrays may fuse a multiply into
+    an add, so a vectorized form would not give the same bits.
     """
-    _require_three_qubits(psi.dims)
-    a000, a001, a010, a011, a100, a101, a110, a111 = psi.amps
+    a000, a001, a010, a011, a100, a101, a110, a111 = amps
     d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
     d2 = (
         a000 * a111 * a011 * a100
@@ -31,56 +32,21 @@ def three_tangle(psi: PureState) -> float:
         + a101 * a010 * a110 * a001
     )
     d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-_NEGATE_RE = np.array([[[-1.0]], [[1.0]]])
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of (re, im) pairs stacked on axis 0, rounded as numpy rounds the
-    product of two complex scalars: (xr*yr - xi*yi, xr*yi + xi*yr).
-
-    Array complex multiplies may fuse a product into the add and round
-    differently, so the pairs are multiplied in real arithmetic.
-    """
-    return x[0] * y + x[1] * (y[::-1] * _NEGATE_RE)
-
-
-# The terms of three_tangle as products over a pool of factors.  Pool columns
-# 0-7 are the amplitudes; level 1 appends 8-15, the squares of amplitudes 0,
-# 1, 2, 4, 7, 6, 5, 3, and 16-23, the first two factors of the six d2 terms
-# and the two d3 terms.  Level 2 multiplies squares 8-11 by 12-15 (the d1
-# terms) and 16-23 by their third factor; level 3 multiplies those by their
-# fourth.  Each product is taken left to right, as the scalar formula does.
-_LEVEL1 = np.array([[0, 1, 2, 4, 7, 6, 5, 3, 0, 0, 0, 3, 3, 5, 0, 7],
-                    [0, 1, 2, 4, 7, 6, 5, 3, 7, 7, 7, 4, 4, 2, 6, 1]])
-_LEVEL2 = np.array([[8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23],
-                    [12, 13, 14, 15, 3, 5, 6, 5, 6, 6, 5, 2]])
-_LEVEL3 = np.array([4, 2, 1, 2, 1, 1, 3, 4])
+def three_tangle(psi: PureState) -> float:
+    """Tangle tau of a pure three-qubit state (see :func:`_tangle`)."""
+    _require_three_qubits(psi.dims)
+    return _tangle(psi.amps.tolist())
 
 
 def three_tangle_stack(amps: np.ndarray) -> np.ndarray:
-    """:func:`three_tangle` of every row of a ``(B, 8)`` amplitude stack.
-
-    Bit-identical to the scalar formula: every complex product and sum is
-    taken in the same order, the modulus is ``np.hypot`` as in ``abs`` of a
-    complex scalar, and the term sums are left folds (``np.add.accumulate``;
-    a reduction may sum pairwise).
-    """
+    """:func:`three_tangle` of every row of a ``(B, 8)`` amplitude stack, row by row."""
     if amps.ndim != 2 or amps.shape[1] != 8:
         raise ValueError(f"(B, 8) three-qubit amplitude stack required, got shape {amps.shape}")
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    a = amps.view(np.float64).reshape(len(amps), 8, 2).T  # (re/im, basis, B)
-    level1 = _cmul(a[:, _LEVEL1[0]], a[:, _LEVEL1[1]])
-    pool = np.concatenate((a, level1), axis=1)
-    level2 = _cmul(pool[:, _LEVEL2[0]], pool[:, _LEVEL2[1]])
-    level3 = _cmul(level2[:, 4:], a[:, _LEVEL3])
-    d1 = np.add.accumulate(level2[:, :4], axis=1)[:, -1]
-    d2 = np.add.accumulate(level3[:, :6], axis=1)[:, -1]
-    d3 = level3[:, 6] + level3[:, 7]
-    re, im = d1 - 2.0 * d2 + 4.0 * d3
-    return 4.0 * np.hypot(re, im)
+    rows = amps.astype(np.complex128, copy=False).tolist()
+    return np.array([_tangle(row) for row in rows], dtype=np.float64)
 
 
 def wootters_concurrence(rho: DensityOperator) -> float:

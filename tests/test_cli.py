@@ -77,6 +77,25 @@ def test_state_file_rejection_names_invariant(tmp_path, payload, fragment):
         read_state_file(path)
 
 
+def _write_undecodable_files(directory):
+    """A file that is not UTF-8 and one whose JSON integer exceeds int's digit limit."""
+    (directory / "latin1.json").write_bytes('{"dims": [2], "kind": "pur\xe9"}'.encode("latin-1"))
+    digits = "1" + "0" * 5000
+    head = '{"dims": [2], "kind": "pure", "data": '
+    (directory / "digits.json").write_text(head + f"[[{digits}, 0], [0, 0]]}}")
+
+
+@pytest.mark.parametrize(
+    "name, fragment",
+    [("latin1.json", "'utf-8' codec can't decode"), ("digits.json", "Exceeds the limit")],
+    ids=["not-utf8", "int-digit-limit"],
+)
+def test_undecodable_state_file_raises_invalid_state(tmp_path, name, fragment):
+    _write_undecodable_files(tmp_path)
+    with pytest.raises(InvalidStateError, match=f"state file is not valid JSON: {fragment}"):
+        read_state_file(tmp_path / name)
+
+
 def test_state_file_rejects_non_positive_density(tmp_path):
     payload = {
         "dims": [2],
@@ -281,9 +300,10 @@ def test_sample_mixed_with_rank(capsys):
 
 
 def test_sample_rank_requires_mixed(capsys):
-    rc = cli_main(["sample", "--dims", "2,2", "--trials", "5", "--rank", "2"])
+    # ensemble_reports owns the check; the CLI reports its message
+    rc = cli_main(["sample", "--dims", "2,2", "--trials", "2", "--rank", "2"])
     assert rc == 2
-    assert "--mixed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: rank applies to mixed ensembles only, got rank=2\n"
 
 
 def test_sample_bad_dims_exit_two(capsys):
@@ -416,6 +436,8 @@ CLI_ERRORS = {
     "bad-json": (["verify", "bad.json"], "error: state file is not valid JSON"),
     "deep-json": (["verify", "deep.json"], "error: state file is not valid JSON: maximum recur"),
     "huge-int": (["verify", "huge.json"], "error: data entries must be [re, im] pairs: int too"),
+    "not-utf8": (["verify", "latin1.json"], "error: state file is not valid JSON: 'utf-8' codec"),
+    "int-digit-limit": (["verify", "digits.json"], "error: state file is not valid JSON: Exceeds"),
     "nan-density": (["verify", "nan.json"], "error: every matrix entry must be finite"),
     "inf-density": (["verify", "inf.json"], "error: every matrix entry must be finite"),
     "non-positive-density": (["verify", "neg.json"], "error: minimum eigenvalue -0.25 below"),
@@ -452,6 +474,7 @@ def test_cli_error_paths_exit_two_with_one_line(tmp_path, case):
     head = '{"dims": [2], "kind": "pure", "data": '
     (tmp_path / "deep.json").write_text(head + "[" * 10**5 + "]" * 10**5 + "}")  # valid, too deep
     (tmp_path / "huge.json").write_text(head + f"[[{10**400}, 0], [0, 0]]}}")  # beyond a double
+    _write_undecodable_files(tmp_path)
     _write_density(tmp_path / "nan.json", [[float("nan"), 0], [0, 0], [0, 0], [1, 0]])
     # inf - inf in the Hermiticity test must raise no RuntimeWarning
     _write_density(tmp_path / "inf.json", [[float("inf"), 0], [0, 0], [0, 0], [1, 0]])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -200,6 +201,30 @@ def test_stacked_tangle_equals_scalar_formula():
     assert three_tangle_stack(np.array([ghz_state(np.pi / 4).amps])).tolist() == [
         three_tangle(ghz_state(np.pi / 4))
     ]
+
+
+def test_stacked_tangle_bits_are_pinned():
+    # sha256 of tau over 10^4 uniform (unnormalized) rows, recorded with the
+    # stacked polynomial this row-by-row form replaced
+    rng = np.random.default_rng(20201)
+    amps = rng.uniform(-1.0, 1.0, (10_000, 16)).view(np.complex128)
+    digest = hashlib.sha256(three_tangle_stack(amps).tobytes()).hexdigest()
+    assert digest == "c90c93d2cdc258c7ed7c6e6cce0c6155e8077147a1e0a4d03e670385d1c8fe2a"
+
+
+def test_stacked_tangle_of_empty_stack():
+    tau = three_tangle_stack(np.zeros((0, 8), dtype=complex))
+    assert tau.shape == (0,) and tau.dtype == np.float64
+
+
+def test_stacked_tangle_takes_real_rows_and_views():
+    amps = sample_haar_stack(THREE_QUBITS, range(64))
+    real = np.ascontiguousarray(amps.real)
+    assert three_tangle_stack(real).tolist() == three_tangle_stack(real.astype(complex)).tolist()
+    view = amps[::3]
+    assert not view.flags.c_contiguous
+    expected = three_tangle_stack(np.ascontiguousarray(view, dtype=np.complex128))
+    assert three_tangle_stack(view).tolist() == expected.tolist()
 
 
 def test_stacked_tangle_rejects_other_shapes():
