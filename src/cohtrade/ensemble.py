@@ -1,8 +1,8 @@
 """Seeded random ensembles, evaluated on stacks of trials.
 
 :func:`ensemble_reports` samples trial t from seed ``seed + t``, exactly as
-``sample_haar_pure`` and ``sample_ginibre_mixed`` do, stacks the trials of a
-chunk of at most ``CHUNK_ENTRIES`` matrix entries and evaluates every bound
+``sample_haar_pure`` and ``sample_ginibre_mixed`` do, as one stack per
+chunk of at most ``CHUNK_ENTRIES`` matrix entries, and evaluates every bound
 of :func:`inequalities.bounds` on the whole stack with
 :func:`inequalities.suite_stack`, the engine :func:`run_suite` runs on one
 state.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import EPS_INEQ
 from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
-from .states import LocalDims, _as_dims, check_rank, check_seed, sample_ginibre_mixed
+from .states import LocalDims, _as_dims, check_rank, check_seed, sample_ginibre_stack
 from .states import sample_haar_stack
 
 
@@ -43,8 +43,8 @@ def ensemble_reports(
 ) -> list[TrialReport]:
     """Run the bound table on ``trials`` sampled states; trial t uses seed + t.
 
-    Haar states are sampled as a stack; Ginibre states (full rank unless
-    ``rank`` is given) one by one, then stacked.  Each report counts the
+    Haar and Ginibre states (full rank unless ``rank`` is given) are
+    sampled a chunk at a time, as stacks.  Each report counts the
     trials whose slack is below ``-tolerance`` and keeps the first trial
     with the smallest slack.
     """
@@ -67,7 +67,7 @@ def ensemble_reports(
     for start in range(seed, seed + trials, chunk):
         seeds = range(start, min(start + chunk, seed + trials))
         if mixed:
-            states = np.stack([sample_ginibre_mixed(dims, rank, s).mat for s in seeds])
+            states = sample_ginibre_stack(dims, rank, seeds)
         else:
             states = sample_haar_stack(dims, seeds)
         coherence, _, rhs = suite_stack(dims, states)

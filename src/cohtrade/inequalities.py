@@ -30,8 +30,8 @@ import numpy as np
 
 from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _l1_sum, amplitude_coherence_stack
 from .coherence import coherence_stack, gamma, stack_rows
-from .states import DensityOperator, LocalDims, PureState, SubsystemSet, _as_dims, _is_integer
-from .states import EPS_NORM, _reduce, density_from_pure, validate_stack
+from .states import DensityOperator, InvalidStateError, LocalDims, PureState, SubsystemSet
+from .states import EPS_NORM, _as_dims, _is_integer, _reduce, density_from_pure, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
@@ -274,8 +274,10 @@ def suite_stack(
     """Every bound of :func:`bounds` on a stack of states: coherence rows, tau and rhs.
 
     ``states`` holds pure-state amplitude rows ``(B, D)`` or density matrices
-    ``(B, D, D)``, checked as :class:`PureState` and :func:`validate_stack` check
-    them, whoever built the stack: the first malformed state raises its own message.
+    ``(B, D, D)``; any other shape raises.  The states are checked as
+    :class:`PureState` and :func:`validate_stack` check them, whoever built the
+    stack: the first malformed state raises its own message.  (An unbatched
+    ``(D, D)`` matrix reads as D rows, which are never all unit vectors.)
     Returns the ``(2^n - 1, B)`` coherence rows in :func:`coherence_stack`'s
     order, whose last row is every bound's lhs; tau ``(B,)`` for pure
     three-qubit input, else None; and rhs ``(K, B)``, row k for bound k of
@@ -290,6 +292,11 @@ def suite_stack(
     """
     dims = _as_dims(dims)
     states = np.ascontiguousarray(states, dtype=np.complex128)
+    d = dims.total_dim
+    if states.ndim not in (2, 3) or states.shape[1:] != (d,) * (states.ndim - 1):
+        raise InvalidStateError(
+            f"state stack has shape {states.shape}, expected (B, {d}) or (B, {d}, {d})"
+        )
     pure = states.ndim == 2
     if not pure:
         validate_stack(states)
@@ -300,7 +307,7 @@ def suite_stack(
         if not unit.all():
             for row in np.flatnonzero(~unit):
                 PureState(dims, states[row])  # raises the constructor's message
-        if dims.total_dim >= AMPLITUDE_MIN_DIM:
+        if d >= AMPLITUDE_MIN_DIM:
             coherence = amplitude_coherence_stack(dims, states)
         else:
             coherence = coherence_stack(dims, states[:, :, None] * states.conj()[:, None, :])

@@ -213,21 +213,28 @@ def validate_stack(mats: np.ndarray) -> None:
     have a trace within ``EPS_NORM`` of 1 and a minimum eigenvalue of at
     least ``-EPS_PSD``.  The first failing matrix in stack order raises the
     message of its first failing check.  A stack that passes takes one
-    batched ``eigvalsh``.
+    batched Cholesky factorization of ``M + EPS_PSD * I``; only a stack it
+    rejects takes a batched ``eigvalsh``, which decides and names the
+    minimum eigenvalue.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the tests below
         skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
     trace = np.trace(mats, axis1=1, axis2=2)
     ok = (skew <= EPS_HERM) & (np.abs(trace - 1.0) <= EPS_NORM)  # and so does NaN
-    # only the matrices before the first structural failure need a spectrum
+    # only the matrices before the first structural failure need a positivity check
     first = len(mats) if ok.all() else int(ok.argmin())
-    min_eig = np.linalg.eigvalsh(mats[:first])[:, 0]
-    positive = min_eig >= -EPS_PSD
-    if not positive.all():
-        k = int(positive.argmin())
-        raise InvalidStateError(
-            f"minimum eigenvalue {float(min_eig[k])!r} below -{EPS_PSD}: matrix is not positive"
-        )
+    head = mats[:first]
+    try:
+        np.linalg.cholesky(head + EPS_PSD * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(head)[:, 0]
+        positive = min_eig >= -EPS_PSD
+        if not positive.all():
+            k = int(positive.argmin())
+            raise InvalidStateError(
+                f"minimum eigenvalue {float(min_eig[k])!r} below -{EPS_PSD}: "
+                "matrix is not positive"
+            ) from None
     if first < len(mats):
         _require_finite(mats[first], "matrix")
         if not skew[first] <= EPS_HERM:
@@ -285,19 +292,29 @@ def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
     return _box_muller(u1, u2)
 
 
-def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -> np.ndarray:
-    """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
+def _uniform_pairs(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    """Uniforms in [0, 1) of shape ``(2, B) + shape``; ``u[:, t]`` comes from ``seeds[t]``.
 
-    Each seed, taken as checked, gets its own generator; one Box-Muller
-    transform and one normalization serve the whole stack.  Uniforms in
-    [0, 1) make every row a unit vector, which ``suite_stack`` checks.
+    Each seed, taken as checked, gets its own generator, which draws as
+    :func:`complex_normals` does: all of ``u[0, t]``, then all of ``u[1, t]``.
     """
-    dims = _as_dims(dims)
-    u = np.empty((2, len(seeds), dims.total_dim))
+    u = np.empty((2, len(seeds)) + shape)
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         rng.random(out=u[0, row])
         rng.random(out=u[1, row])
+    return u
+
+
+def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -> np.ndarray:
+    """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
+
+    One Box-Muller transform and one normalization serve the whole stack.
+    Uniforms in [0, 1) make every row a unit vector, which ``suite_stack``
+    checks.
+    """
+    dims = _as_dims(dims)
+    u = _uniform_pairs(seeds, (dims.total_dim,))
     z = _box_muller(u[0], u[1])
     # np.linalg.norm of one row: the real and imaginary parts as two dot products
     z /= np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
@@ -325,16 +342,29 @@ def check_rank(dims: LocalDims, rank: int) -> None:
         raise ValueError(f"rank must be in 1..{dims.total_dim}, got {rank}")
 
 
+def sample_ginibre_stack(
+    dims: "LocalDims | Sequence[int]", rank: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """Ginibre density matrices: matrix t is ``sample_ginibre_mixed(dims, rank, seeds[t]).mat``.
+
+    The rank and each seed are taken as checked.  One Box-Muller transform,
+    one batched ``G G^dag``, one trace division and one hermitization serve
+    the whole stack.
+    """
+    dims = _as_dims(dims)
+    u = _uniform_pairs(seeds, (dims.total_dim, rank))
+    g = _box_muller(u[0], u[1])
+    m = g @ g.conj().swapaxes(1, 2)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return (m + m.conj().swapaxes(1, 2)) / 2.0  # enforce exact Hermiticity against roundoff
+
+
 def sample_ginibre_mixed(
     dims: "LocalDims | Sequence[int]", rank: int, seed: int
 ) -> DensityOperator:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (D, rank)."""
     dims = _as_dims(dims)
-    d = dims.total_dim
     check_rank(dims, rank)
-    rng = np.random.default_rng(check_seed(seed))
-    g = complex_normals(rng, (d, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = (m + m.conj().T) / 2.0  # enforce exact Hermiticity against roundoff
-    return DensityOperator._trusted(dims, m)
+    return DensityOperator._trusted(
+        dims, sample_ginibre_stack(dims, rank, (check_seed(seed),))[0]
+    )

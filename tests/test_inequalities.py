@@ -481,6 +481,32 @@ def test_suite_stack_rejects_rows_that_are_not_states(dims, fault):
     assert str(exc.value) != _constructor_message(dims, later)
 
 
+_GHZ = density_from_pure(ghz_state(np.pi / 4)).mat
+WRONG_SHAPES = {
+    "density-of-other-dims": np.eye(4)[None] / 4,  # numpy: cannot reshape array of size 16
+    "not-square": _GHZ[None, :, :4],  # numpy: operands could not be broadcast
+    "extra-axis": _GHZ[None, None],  # numpy: the truth value of an array is ambiguous
+    "one-amplitude-row": ghz_state(np.pi / 4).amps,
+    "rows-of-other-dims": sample_haar_stack((2, 2), range(3)),
+}
+
+
+@pytest.mark.parametrize("fault", list(WRONG_SHAPES))
+def test_suite_stack_rejects_stacks_of_other_shapes(fault):
+    states = WRONG_SHAPES[fault]
+    expected = f"state stack has shape {states.shape}, expected (B, 8) or (B, 8, 8)"
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(expected)}$"):
+        suite_stack(THREE, states)
+
+
+def test_suite_stack_reads_an_unbatched_matrix_as_amplitude_rows():
+    # (D, D) is also the shape of D amplitude rows.  The squared norms of a
+    # density matrix's rows sum to tr(rho^2) <= 1 < D, so a row always fails.
+    with pytest.raises(InvalidStateError) as exc:
+        suite_stack(THREE, _GHZ)
+    assert str(exc.value) == _constructor_message(THREE, _GHZ[0])
+
+
 def _stack_results(tolerance):
     coherence, _, rhs = suite_stack(THREE, ghz_state(0.3).amps[None])
     return stack_results(suite_names(THREE, True), coherence, rhs, tolerance)

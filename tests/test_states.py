@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from cohtrade import (
     sample_ginibre_mixed,
     sample_haar_pure,
 )
+from cohtrade.states import complex_normals, sample_ginibre_stack, validate_stack
 
 from conftest import kron, random_hermitian
 
@@ -169,6 +171,61 @@ def test_density_operator_structural_checks():
         bad.validate()
     good = DensityOperator(dims, np.diag([0.25, 0.75]))
     assert good.validate() is good
+
+
+def with_min_eigenvalue(d, min_eig, seed=0):
+    """Hermitian unit-trace ``U diag(min_eig, w, ..., w) U^dag`` for a random unitary U."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    eig = np.full(d, (1.0 - min_eig) / (d - 1))
+    eig[0] = min_eig
+    m = (q * eig) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def named_eigenvalue(exc) -> float:
+    message = str(exc.value)
+    assert message.startswith("minimum eigenvalue ")
+    assert message.endswith(" below -1e-10: matrix is not positive")
+    return float(message.split()[2])
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_positivity_boundary_is_minus_eps_psd(n):
+    dims = LocalDims((2,) * n)
+    for min_eig in (-0.5e-10, -0.9e-10):
+        DensityOperator(dims, with_min_eigenvalue(dims.total_dim, min_eig))
+    for min_eig in (-1.1e-10, -2e-10):
+        with pytest.raises(InvalidStateError) as exc:
+            DensityOperator(dims, with_min_eigenvalue(dims.total_dim, min_eig))
+        assert named_eigenvalue(exc) == pytest.approx(min_eig, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8, 10])
+def test_haar_projectors_are_positive(n):
+    amps = sample_haar_pure((2,) * n, n).amps
+    DensityOperator(LocalDims((2,) * n), np.outer(amps, amps.conj()))
+
+
+def test_stack_names_the_eigenvalue_of_its_first_non_positive_matrix():
+    spectra = [0.01, 0.0, -0.25, -0.5, 0.02]
+    stack = np.stack([with_min_eigenvalue(8, e, seed) for seed, e in enumerate(spectra)])
+    with pytest.raises(InvalidStateError) as exc:
+        validate_stack(stack)
+    assert named_eigenvalue(exc) == pytest.approx(-0.25)
+    validate_stack(stack[:2])
+
+
+def test_stack_starting_with_nan_matrix_keeps_its_message():
+    stack = np.stack([with_min_eigenvalue(8, e, seed) for seed, e in enumerate([0.01, -0.25])])
+    stack[0, 1, 2] = np.nan
+    with pytest.raises(InvalidStateError) as exc:
+        validate_stack(stack)
+    assert str(exc.value) == "every matrix entry must be finite, got NaN or inf"
+
+
+def test_empty_stack_is_valid():
+    validate_stack(np.empty((0, 8, 8), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +501,71 @@ def test_ginibre_accepts_numpy_integer_rank():
     expected = sample_ginibre_mixed((2, 2), 2, 9).mat
     for rank in (np.int64(2), np.int32(2)):
         assert np.array_equal(sample_ginibre_mixed((2, 2), rank, 9).mat, expected)
+
+
+def ginibre_by_seed(dims, rank, seed):
+    """The per-seed Ginibre formula: one generator, G G^dag, trace division, hermitization."""
+    g = complex_normals(np.random.default_rng(seed), (math.prod(dims), rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return (m + m.conj().T) / 2.0
+
+
+# (dims, rank, seeds, sha256 of the matrices sample_ginibre_mixed(dims, rank,
+# s).mat for s in range(seeds), concatenated, to 16 hex digits), recorded
+# with ginibre_by_seed's formula on x86_64 (numpy 2.4, OpenBLAS)
+GOLDEN_GINIBRE = [
+    ((2, 2, 2), 1, 512, "435713c944619025"),
+    ((2, 2, 2), 2, 512, "20a8710e099a95d7"),
+    ((2, 2, 2), 3, 512, "d5f7a530a717dace"),
+    ((2, 2, 2), 4, 512, "48b5fe49d843ea8a"),
+    ((2, 2, 2), 5, 512, "0946b815110ad65e"),
+    ((2, 2, 2), 6, 512, "ddd0f90eb2c1df38"),
+    ((2, 2, 2), 7, 512, "a12899c8fcea75ac"),
+    ((2, 2, 2), 8, 512, "cdc59a97e917e1e1"),
+    ((2,) * 5, 32, 32, "8bb9d2194c948478"),
+    ((3, 3, 3), 27, 32, "88018598da31dce3"),
+    ((2, 3, 4), 5, 32, "1b4a83a41a64531c"),
+    ((2,) * 6, 64, 8, "060a5043d42d67f8"),
+    ((2,) * 8, 256, 2, "2fa34528037220b6"),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_GINIBRE, ids=lambda c: f"{c[0]}-r{c[1]}")
+def test_ginibre_samples_are_pinned(case):
+    dims, rank, seeds, digest = case
+    singles = hashlib.sha256()
+    for seed in range(seeds):
+        singles.update(sample_ginibre_mixed(dims, rank, seed).mat.tobytes())
+    assert singles.hexdigest()[:16] == digest
+    stack = sample_ginibre_stack(dims, rank, range(seeds))
+    assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "dims, rank", [((2, 2, 2), 1), ((2, 2, 2), 4), ((2, 2, 2), 8), ((2, 3, 4), 5), ((2,) * 5, 32)]
+)
+def test_ginibre_stack_rows_equal_per_seed_formula(dims, rank):
+    stack = sample_ginibre_stack(dims, rank, range(40, 56))
+    assert stack.shape == (16,) + (math.prod(dims),) * 2
+    for mat, seed in zip(stack, range(40, 56)):
+        assert mat.tobytes() == ginibre_by_seed(dims, rank, seed).tobytes()
+
+
+def test_ginibre_row_does_not_depend_on_its_neighbours():
+    alone = sample_ginibre_mixed((2, 2, 2), 3, 7).mat.tobytes()
+    for seeds in ([7], [7, 8, 9], [0, 7], [5, 6, 1, 2, 7], [7] * 4):
+        stack = sample_ginibre_stack((2, 2, 2), 3, seeds)
+        for mat, seed in zip(stack, seeds):
+            assert (mat.tobytes() == alone) == (seed == 7)
+    assert sample_ginibre_stack((2, 2, 2), 3, []).shape == (0, 8, 8)
+
+
+def test_ginibre_checks_rank_before_seed():
+    with pytest.raises(ValueError, match="^rank must be in 1..8, got 9$"):
+        sample_ginibre_mixed((2, 2, 2), 9, -1)
+    with pytest.raises(ValueError, match="^rank must be an integer, got 2.0$"):
+        sample_ginibre_mixed((2, 2, 2), 2.0, "1")
 
 
 SEED_ENTRY_POINTS = {
