@@ -10,24 +10,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .states import DensityOperator, LocalDims, SubsystemSet, _as_subsystem, _is_integer
+from .states import DensityOperator, LocalDims, SubsystemSet, _is_integer
 from .states import _reduce, _require_three_qubits, partial_trace
 
 EPS_INEQ = 1e-9
 
 
 def l1_coherence(rho: DensityOperator) -> float:
-    """Sum of the absolute values of all off-diagonal entries."""
-    return _l1_sum(rho.mat)
-
-
-def _l1_sum(mat: np.ndarray) -> float:
-    """:func:`l1_coherence` of a bare square matrix."""
-    off = np.abs(mat)
-    # off is freshly allocated in mat's C or F order, so its memory-order
-    # ravel is a view in which every diagonal entry is d + 1 after the last
-    off.ravel(order="K")[:: len(off) + 1] = 0.0
-    return float(off.sum())
+    """Sum of the absolute values of all off-diagonal entries: a one-row l1_coherence_stack."""
+    return l1_coherence_stack(rho.mat[None]).item()
 
 
 def l1_coherence_stack(mats: np.ndarray) -> np.ndarray:
@@ -37,16 +28,13 @@ def l1_coherence_stack(mats: np.ndarray) -> np.ndarray:
     results are bit-identical to the per-state ones.
     """
     b, d, _ = mats.shape
-    off = np.abs(np.ascontiguousarray(mats))
-    off.reshape(b, d * d)[:, :: d + 1] = 0.0  # a view, since off is C-contiguous
-    return off.sum(axis=(1, 2))
+    off = np.abs(np.ascontiguousarray(mats).reshape(b, d * d))
+    off[:, :: d + 1] = 0.0
+    return np.add.reduce(off, axis=1)
 
 
 def subset_coherence(rho: DensityOperator, parties: "SubsystemSet | Iterable[int]") -> float:
-    """Coherence of the reduced state on ``parties``."""
-    parties = _as_subsystem(parties)
-    if len(parties) == rho.dims.n_parties:
-        return l1_coherence(rho)
+    """Coherence of the reduced state on ``parties``; all parties give :func:`l1_coherence`."""
     return l1_coherence(partial_trace(rho, parties))
 
 
@@ -75,23 +63,8 @@ def stack_rows(n: int) -> MappingProxyType:
     return MappingProxyType({s: i for i, s in enumerate(stack_subsets(n))})
 
 
-def coherence_stack(dims: LocalDims, rho: np.ndarray) -> np.ndarray:
-    """l1 coherence of every reduction of each matrix in a ``(B, D, D)`` stack, ``(2^n - 1, B)``.
-
-    Row i is subset ``stack_subsets(n)[i]``, so the last row is the full
-    coherence.  Every entry is bit-identical to :func:`subset_coherence` on
-    that matrix alone.  This is the density route; pure states with
-    ``D >= AMPLITUDE_MIN_DIM`` are reduced by :func:`amplitude_coherence_stack`
-    instead, whose rows agree with these to roundoff only.
-    """
-    tensor = rho.reshape((len(rho),) + dims.dims + dims.dims)
-    subsets = stack_subsets(dims.n_parties)[:-1]  # the full set needs no reduction
-    rows = [l1_coherence_stack(_reduce(dims, tensor, s)) for s in subsets]
-    return np.stack(rows + [l1_coherence_stack(rho)])
-
-
 #: Pure states of this total dimension and up are reduced from their
-#: amplitudes (:func:`amplitude_coherence_stack`); smaller ones, like every
+#: amplitudes (:func:`_amplitude_coherence_stack`); smaller ones, like every
 #: mixed state, from their density matrix, so that below it every result
 #: keeps the per-state primitives' bits: the three-qubit acceptance gates,
 #: the sweeps and the search goldens all run there.
@@ -136,21 +109,17 @@ def _amplitude_plan(dims: LocalDims, rows: "tuple[int, ...] | None") -> tuple:
     return tuple(plan)
 
 
-def amplitude_coherence_stack(
-    dims: LocalDims, amps: np.ndarray, rows: "tuple[int, ...] | None" = None
+def _amplitude_coherence_stack(
+    dims: LocalDims, amps: np.ndarray, rows: "tuple[int, ...] | None"
 ) -> np.ndarray:
-    """:func:`coherence_stack` of the pure states with amplitude rows ``amps`` ``(B, D)``.
+    """:func:`coherence_stack` of the amplitude rows ``amps`` ``(B, D)``, with no ``D x D`` matrix.
 
-    Given ``rows``, only those rows are computed and returned, ``(len(rows), B)``.
-    No ``D x D`` matrix is formed.  For the pair (S, S^c), P is the amplitude
-    tensor with S's parties first, reshaped to ``(d_S, D / d_S)``: then
-    ``rho_S = P P^dag``, and ``P^dag P`` is the conjugate of ``rho_{S^c}``,
-    with the same l1 sum, so one gather serves both.  The full coherence is
-    ``(sum |a|)^2 - sum |a|^2``, which also holds for rows whose squared norm
-    is within ``EPS_NORM`` of 1 but not 1.  The sums are taken in another
-    order than the density route's, so rows agree with :func:`coherence_stack`
-    to roundoff, not bit for bit.  A state's rows depend neither on the other
-    states of the stack nor on ``rows``.
+    For the pair (S, S^c), P is the amplitude tensor with S's parties first,
+    reshaped to ``(d_S, D / d_S)``: then ``rho_S = P P^dag``, and ``P^dag P``
+    is the conjugate of ``rho_{S^c}``, with the same l1 sum, so one gather
+    serves both.  The full coherence is ``(sum |a|)^2 - sum |a|^2``, which
+    also holds for rows whose squared norm is within ``EPS_NORM`` of 1 but
+    not 1.  These sums run in another order than the density route's.
     """
     b, total = amps.shape
     out = np.empty((2**dims.n_parties - 1, b))
@@ -170,6 +139,48 @@ def amplitude_coherence_stack(
         modulus = np.abs(amps)
         out[-1] = modulus.sum(axis=1) ** 2 - np.vecdot(modulus, modulus)
     return out if rows is None else out[list(rows)]
+
+
+def coherence_stack(
+    dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None" = None
+) -> np.ndarray:
+    """l1 coherence of every reduction of each state of a stack, ``(2^n - 1, B)``: the one kernel.
+
+    ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``.
+    Row i is subset ``stack_subsets(n)[i]``, the last row the full coherence;
+    given ``rows``, only those rows are computed, in that order, ``(len(rows), B)``.
+    Only here is a route picked: pure rows with ``D >= AMPLITUDE_MIN_DIM`` are
+    reduced from their amplitudes, to roundoff of the density route; every
+    other state from its density matrix (a pure row from its projector), bit
+    for bit as :func:`subset_coherence` on that matrix alone.  A state's rows
+    depend neither on the rest of the stack nor on ``rows``.
+    """
+    count = 2**dims.n_parties - 1
+    if rows is not None and not all(_is_integer(r) and 0 <= r < count for r in rows):
+        raise ValueError(f"rows must be integers in 0..{count - 1}, got {rows!r}")
+    table = _coherence_rows(dims, states, rows)
+    if isinstance(table, np.ndarray):  # the amplitude route's
+        return table
+    return np.concatenate(table or [np.empty(0)]).reshape(len(table), len(states))
+
+
+def _coherence_rows(dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None"):
+    """:func:`coherence_stack`'s rows, each ``(B,)``: a list on the density route.
+
+    One-row callers read each row with ``.item()``, which costs less than
+    stacking the list first.
+    """
+    if states.ndim == 2:
+        if dims.total_dim >= AMPLITUDE_MIN_DIM:
+            return _amplitude_coherence_stack(dims, states, None if rows is None else tuple(rows))
+        states = states[:, :, None] * states.conj()[:, None, :]
+    subsets = stack_subsets(dims.n_parties)
+    full = len(subsets) - 1  # the full set needs no reduction
+    tensor = states.reshape((len(states),) + dims.dims * 2)
+    return [
+        l1_coherence_stack(states if r == full else _reduce(dims, tensor, subsets[r]))
+        for r in (range(len(subsets)) if rows is None else rows)
+    ]
 
 
 # Weights of the three-qubit residuals: entry (r, c) pairs the basis labels

@@ -17,8 +17,8 @@ import numpy as np
 
 from .coherence import EPS_INEQ
 from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
-from .states import LocalDims, _as_dims, check_rank, check_seed, sample_ginibre_stack
-from .states import sample_haar_stack
+from .states import LocalDims, _as_dims, check_count, check_rank, check_seed
+from .states import sample_ginibre_stack, sample_haar_stack
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def ensemble_reports(
     trials whose slack is below ``-tolerance`` and keeps the first trial
     with the smallest slack.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    check_count("trials", trials, 0)
     if rank is not None and not mixed:
         raise ValueError(f"rank applies to mixed ensembles only, got rank={rank!r}")
     check_tolerance(tolerance)

@@ -11,7 +11,7 @@ import numpy as np
 from .coherence import EPS_INEQ, stack_rows
 from .inequalities import InequalityResult, check_tolerance, chunk_states, stack_results
 from .inequalities import suite_names, suite_stack
-from .states import LocalDims, PureState, SubsystemSet
+from .states import LocalDims, PureState, SubsystemSet, check_count
 
 #: Each family's parameter names, in the order its functions take them.
 FAMILY_PARAMETERS = {"ghz": ("phi",), "w": ("theta", "phi"), "two-term": ("alpha",)}
@@ -122,8 +122,7 @@ class SweepRecord:
 
 def default_grid(family: str, points: int) -> list[tuple[float, ...]]:
     """Evenly spaced parameter grid; the w family gets a points x points grid."""
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    check_count("points", points, 1)
     if family == "ghz":
         return [(phi,) for phi in np.linspace(0.0, _TWO_PI, points, endpoint=False)]
     if family == "w":

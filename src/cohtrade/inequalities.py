@@ -28,10 +28,9 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _l1_sum, amplitude_coherence_stack
-from .coherence import coherence_stack, gamma, stack_rows
+from .coherence import EPS_INEQ, _coherence_rows, coherence_stack, gamma, stack_rows
 from .states import DensityOperator, InvalidStateError, LocalDims, PureState, SubsystemSet
-from .states import EPS_NORM, _as_dims, _is_integer, _reduce, density_from_pure, validate_stack
+from .states import EPS_NORM, _as_dims, _is_integer, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 State = Union[PureState, DensityOperator]
@@ -104,15 +103,13 @@ class Bound:
         A tangle bound adds ``three_tangle(state)``, so it takes pure
         three-qubit states only (``TypeError`` on a density operator).  Any
         other state whose dims are not the bound's raises ``ValueError``.
-        A pure state with ``D >= AMPLITUDE_MIN_DIM`` is reduced from its
-        amplitudes, as :func:`suite_stack` reduces it; any other pure state
-        is projected.  A matrix's subset coherences equal
-        :func:`subset_coherence` bit for bit: the same einsum reduction of the
-        density matrix and the same l1 sum, without the intermediate state
-        objects.  The rhs folds them left to right in subset order, divides
-        once and then adds tau for a tangle bound (the builtin sum()
-        compensates float sums from Python 3.12 on, and sum(x) / k differs
-        from sum(x / k), either of which would move slacks in the last bit).
+        The state is reduced as :func:`suite_stack` reduces it, by the
+        one-row :func:`coherence_stack` call on the bound's own rows and the
+        full row, so the numbers are :func:`suite_stack`'s bit for bit.  The
+        rhs folds them left to right in subset order, divides once and then
+        adds tau for a tangle bound (the builtin sum() compensates float sums
+        from Python 3.12 on, and sum(x) / k differs from sum(x / k), either of
+        which would move slacks in the last bit).
         """
         check_tolerance(tolerance)
         if self.tangle:
@@ -125,23 +122,14 @@ class Bound:
                 f"bound {self.name} is stated for dims {self.dims.dims}, "
                 f"got a state of dims {dims.dims}"
             )
-        if isinstance(state, PureState) and dims.total_dim >= AMPLITUDE_MIN_DIM:
-            # the numbers suite_stack takes for this state, computed for this bound only
-            rows = (*self.rows, 2**dims.n_parties - 2)
-            *values, lhs = amplitude_coherence_stack(dims, state.amps[None], rows)[:, 0].tolist()
-        else:
-            mat = (density_from_pure(state) if isinstance(state, PureState) else state).mat
-            n, tensor = dims.n_parties, mat.reshape(dims.dims * 2)
-            values = []
-            for s in self.subsets:
-                values.append(_l1_sum(mat if len(s.parties) == n else _reduce(dims, tensor, s)))
-            lhs = _l1_sum(mat)
+        stack = state.amps[None] if isinstance(state, PureState) else state.mat[None]
+        *values, lhs = _coherence_rows(dims, stack, (*self.rows, 2**dims.n_parties - 2))
         total = 0.0
         for value in values:
-            total += value
+            total += value.item()
         total /= self.divisor
         rhs = total + tau if self.tangle else total
-        return _result(self.name, lhs, rhs, tolerance)
+        return _result(self.name, lhs.item(), rhs, tolerance)
 
 
 _Q3 = LocalDims((2, 2, 2))
@@ -283,11 +271,10 @@ def suite_stack(
     three-qubit input, else None; and rhs ``(K, B)``, row k for bound k of
     ``bounds(dims, pure)``.
 
-    Pure states with ``D >= AMPLITUDE_MIN_DIM`` are reduced from their
-    amplitudes (:func:`amplitude_coherence_stack`), so their numbers agree
-    with the density route to roundoff and equal :meth:`Bound.evaluate`'s.
-    Every other number is bit-identical to the per-state primitives
-    (:func:`subset_coherence`, :func:`three_tangle`, :meth:`Bound.evaluate`).
+    The coherence rows are one :func:`coherence_stack` call, which picks
+    each state's route, so lhs and rhs equal :meth:`Bound.evaluate`'s; below
+    ``D = AMPLITUDE_MIN_DIM``, and for every mixed state, they are also
+    bit-identical to :func:`subset_coherence` and :func:`three_tangle`.
     Either way a state's numbers do not depend on the rest of the stack.
     """
     dims = _as_dims(dims)
@@ -300,17 +287,13 @@ def suite_stack(
     pure = states.ndim == 2
     if not pure:
         validate_stack(states)
-        coherence = coherence_stack(dims, states)
     else:
         with np.errstate(invalid="ignore", over="ignore"):  # inf or overflow gives NaN or inf
             unit = np.abs(np.vecdot(states, states).real - 1.0) <= EPS_NORM  # and both fail this
         if not unit.all():
             for row in np.flatnonzero(~unit):
                 PureState(dims, states[row])  # raises the constructor's message
-        if d >= AMPLITUDE_MIN_DIM:
-            coherence = amplitude_coherence_stack(dims, states)
-        else:
-            coherence = coherence_stack(dims, states[:, :, None] * states.conj()[:, None, :])
+    coherence = coherence_stack(dims, states)
     index, last, divisor, tangle = _fold_plan(dims, pure)
     rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
     tau = None

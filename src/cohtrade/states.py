@@ -342,6 +342,14 @@ def check_rank(dims: LocalDims, rank: int) -> None:
         raise ValueError(f"rank must be in 1..{dims.total_dim}, got {rank}")
 
 
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Raise ``ValueError`` unless the count ``name`` is an integer (not a bool) >= ``minimum``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def sample_ginibre_stack(
     dims: "LocalDims | Sequence[int]", rank: int, seeds: Sequence[int]
 ) -> np.ndarray:

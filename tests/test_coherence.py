@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohtrade import (
+    AMPLITUDE_MIN_DIM,
     DensityOperator,
     LocalDims,
     SubsystemSet,
@@ -94,6 +95,14 @@ def test_ghz_subset_coherences_vanish():
         assert subset_coherence(rho, parties) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("parties", [(1, 2, 4), (2, 3, 4), (1, 4)])
+def test_subset_coherence_rejects_parties_beyond_the_state(parties):
+    # three labels at three parties are not the full set unless they are 1, 2, 3
+    rho = density_from_pure(ghz_state(np.pi / 4))
+    with pytest.raises(ValueError, match=rf"^subsystem \({parties[0]}, .* out of range for 3"):
+        subset_coherence(rho, parties)
+
+
 def test_w_pair_coherence_closed_form():
     for theta in np.linspace(0.1, np.pi - 0.1, 7):
         for phi in np.linspace(0, 2 * np.pi, 9, endpoint=False):
@@ -183,6 +192,56 @@ def test_stack_rows_equal_subset_coherence(dims):
     assert rows.shape == (len(subsets), len(states))
     for b, rho in enumerate(states):
         assert rows[:, b].tolist() == [subset_coherence(rho, s) for s in subsets]
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4)])
+def test_amplitude_rows_below_the_route_equal_their_projectors(dims):
+    dims = LocalDims(dims)
+    assert dims.total_dim < AMPLITUDE_MIN_DIM
+    amps = sample_haar_stack(dims, range(30, 37))
+    projectors = amps[:, :, None] * amps.conj()[:, None, :]
+    rows = coherence_stack(dims, amps)
+    assert rows.tobytes() == coherence_stack(dims, projectors).tobytes()
+
+
+ROW_REQUESTS = [(6,), (5, 0, 6), (3, 3, 1), (6, 2, 4, 5, 1, 0, 3), ()]
+
+
+@pytest.mark.parametrize("rows", ROW_REQUESTS)
+@pytest.mark.parametrize("kind", ["density", "projector rows", "amplitude rows"])
+def test_rows_are_those_rows_of_the_full_call(kind, rows):
+    if kind == "amplitude rows":  # five qubits: every third of the 31 rows, 0 the full set
+        dims, rows = LocalDims((2,) * 5), tuple(30 - 3 * r for r in rows)
+        states = sample_haar_stack(dims, range(5))
+    elif kind == "projector rows":
+        dims, states = LocalDims((2, 2, 2)), sample_haar_stack((2, 2, 2), range(5))
+    else:
+        dims = LocalDims((2, 2, 2))
+        states = np.stack([sample_ginibre_mixed(dims, 1 + s, 60 + s).mat for s in range(5)])
+    full = coherence_stack(dims, states)
+    some = coherence_stack(dims, states, rows)
+    assert some.shape == (len(rows), 5)
+    assert some.tobytes() == full[list(rows)].tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5])
+@pytest.mark.parametrize("bad", [-1, "count", 1.0, True])
+def test_rows_outside_the_table_are_rejected(dims, bad):
+    # unchecked, the amplitude route would return row -1 from uninitialized memory
+    dims = LocalDims(dims)
+    count = 2**dims.n_parties - 1
+    rows = (0, count if bad == "count" else bad)
+    with pytest.raises(ValueError) as exc:
+        coherence_stack(dims, sample_haar_stack(dims, range(2)), rows)
+    assert str(exc.value) == f"rows must be integers in 0..{count - 1}, got {rows!r}"
+
+
+@pytest.mark.parametrize("rows", [None, (0, 6), (2,), ()])
+@pytest.mark.parametrize("shape", [(0, 8), (0, 8, 8), (0, 32)])
+def test_empty_stacks_give_empty_rows(shape, rows):
+    dims = LocalDims((2,) * (5 if 32 in shape else 3))
+    expected = 2**dims.n_parties - 1 if rows is None else len(rows)
+    assert coherence_stack(dims, np.zeros(shape, dtype=complex), rows).shape == (expected, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from cohtrade import (
     LocalDims,
     PureState,
     SubsystemSet,
+    default_grid,
     density_from_pure,
     ensemble_reports,
     ghz_state,
@@ -584,3 +585,21 @@ def test_every_seed_entry_point_rejects_bad_seed(entry, seed):
         SEED_ENTRY_POINTS[entry](seed)
     assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
     SEED_ENTRY_POINTS[entry](np.int64(2**40))  # while a large numpy integer is a seed
+
+
+COUNT_ENTRY_POINTS = {
+    "trials": lambda n: ensemble_reports((2, 2, 2), n, 0),
+    "restarts": lambda n: minimize_slack("thm1", (2, 2, 2), n, 0, iterations=2, rounds=1),
+    "iterations": lambda n: minimize_slack("thm1", (2, 2, 2), 1, 0, iterations=n, rounds=1),
+    "rounds": lambda n: minimize_slack("thm1", (2, 2, 2), 1, 0, iterations=2, rounds=n),
+    "points": lambda n: default_grid("ghz", n),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, math.nan])
+@pytest.mark.parametrize("name", list(COUNT_ENTRY_POINTS))
+def test_every_count_argument_must_be_an_integer(name, value):
+    with pytest.raises(ValueError) as exc:
+        COUNT_ENTRY_POINTS[name](value)
+    assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+    COUNT_ENTRY_POINTS[name](np.int64(2))  # while a numpy integer is a count
