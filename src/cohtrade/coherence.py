@@ -141,38 +141,29 @@ def _amplitude_coherence_stack(
     return out if rows is None else out[list(rows)]
 
 
-def coherence_stack(
-    dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None" = None
-) -> np.ndarray:
+def coherence_stack(dims: LocalDims, states: np.ndarray) -> np.ndarray:
     """l1 coherence of every reduction of each state of a stack, ``(2^n - 1, B)``: the one kernel.
 
     ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``.
-    Row i is subset ``stack_subsets(n)[i]``, the last row the full coherence;
-    given ``rows``, only those rows are computed, in that order, ``(len(rows), B)``.
-    Only here is a route picked: pure rows with ``D >= AMPLITUDE_MIN_DIM`` are
-    reduced from their amplitudes, to roundoff of the density route; every
-    other state from its density matrix (a pure row from its projector), bit
-    for bit as :func:`subset_coherence` on that matrix alone.  A state's rows
-    depend neither on the rest of the stack nor on ``rows``.
+    Row i is subset ``stack_subsets(n)[i]``, the last row the full coherence.
     """
-    count = 2**dims.n_parties - 1
-    if rows is not None and not all(_is_integer(r) and 0 <= r < count for r in rows):
-        raise ValueError(f"rows must be integers in 0..{count - 1}, got {rows!r}")
-    table = _coherence_rows(dims, states, rows)
-    if isinstance(table, np.ndarray):  # the amplitude route's
-        return table
-    return np.concatenate(table or [np.empty(0)]).reshape(len(table), len(states))
+    return np.asarray(_coherence_rows(dims, states, None))
 
 
 def _coherence_rows(dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None"):
-    """:func:`coherence_stack`'s rows, each ``(B,)``: a list on the density route.
+    """:func:`coherence_stack`'s ``rows`` (all if None), in that order, each ``(B,)``.
 
-    One-row callers read each row with ``.item()``, which costs less than
-    stacking the list first.
+    Only here is a route picked: pure rows with ``D >= AMPLITUDE_MIN_DIM`` are
+    reduced from their amplitudes, to roundoff of the density route, and come
+    back as one array; every other state from its density matrix (a pure row
+    from its projector), bit for bit as :func:`subset_coherence` on that
+    matrix alone, as a list of rows.  A state's rows depend neither on the
+    rest of the stack nor on ``rows``.  One-row callers read each row with
+    ``.item()``, which costs less than stacking the list first.
     """
     if states.ndim == 2:
         if dims.total_dim >= AMPLITUDE_MIN_DIM:
-            return _amplitude_coherence_stack(dims, states, None if rows is None else tuple(rows))
+            return _amplitude_coherence_stack(dims, states, rows)
         states = states[:, :, None] * states.conj()[:, None, :]
     subsets = stack_subsets(dims.n_parties)
     full = len(subsets) - 1  # the full set needs no reduction

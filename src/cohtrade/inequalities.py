@@ -22,18 +22,17 @@ and search objectives:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .coherence import EPS_INEQ, _coherence_rows, coherence_stack, gamma, stack_rows
-from .states import DensityOperator, InvalidStateError, LocalDims, PureState, SubsystemSet
-from .states import EPS_NORM, _as_dims, _is_integer, validate_stack
+from .states import DensityOperator, InvalidStateError, LocalDims, PureState, State, SubsystemSet
+from .states import EPS_NORM, _as_dims, _as_stack, _is_integer, validate_stack
 from .tangle import three_tangle, three_tangle_stack
-
-State = Union[PureState, DensityOperator]
 
 #: Verifiers excluded from pass/fail exit policies: their violations are data.
 CONJECTURE_PREFIX = "eq4"
@@ -62,8 +61,15 @@ class InequalityResult:
 
 
 def check_tolerance(tolerance: float) -> float:
-    """Return ``tolerance`` if it is a finite non-bool number >= 0, else raise ``ValueError``."""
-    if isinstance(tolerance, bool) or not 0.0 <= tolerance < math.inf:  # NaN fails this test
+    """Return ``tolerance`` if it is a finite, non-bool real >= 0, else raise ``ValueError``."""
+    value = tolerance
+    if type(tolerance) is not float:  # a plain float, once per search evaluation, skips this
+        real = isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
+        try:  # numpy bools are not numbers.Real; float() overflows beyond a double
+            value = float(tolerance) if real else math.nan
+        except OverflowError:
+            value = math.nan
+    if not 0.0 <= value < math.inf:  # NaN fails this test
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     return tolerance
 
@@ -103,8 +109,8 @@ class Bound:
         A tangle bound adds ``three_tangle(state)``, so it takes pure
         three-qubit states only (``TypeError`` on a density operator).  Any
         other state whose dims are not the bound's raises ``ValueError``.
-        The state is reduced as :func:`suite_stack` reduces it, by the
-        one-row :func:`coherence_stack` call on the bound's own rows and the
+        The state is reduced as :func:`suite_stack` reduces it, by one
+        ``coherence._coherence_rows`` call on the bound's own rows and the
         full row, so the numbers are :func:`suite_stack`'s bit for bit.  The
         rhs folds them left to right in subset order, divides once and then
         adds tau for a tangle bound (the builtin sum() compensates float sums
@@ -112,8 +118,9 @@ class Bound:
         which would move slacks in the last bit).
         """
         check_tolerance(tolerance)
+        stack = _as_stack(state)
         if self.tangle:
-            if not isinstance(state, PureState):
+            if stack.ndim != 2:
                 raise TypeError("pure state required: the tangle bound does not cover mixed states")
             tau = three_tangle(state)
         dims = state.dims
@@ -122,7 +129,6 @@ class Bound:
                 f"bound {self.name} is stated for dims {self.dims.dims}, "
                 f"got a state of dims {dims.dims}"
             )
-        stack = state.amps[None] if isinstance(state, PureState) else state.mat[None]
         *values, lhs = _coherence_rows(dims, stack, (*self.rows, 2**dims.n_parties - 2))
         total = 0.0
         for value in values:
@@ -322,14 +328,9 @@ def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResul
     return operators that skipped construction.  A pure state is checked at
     construction.
     """
-    if isinstance(state, PureState):
-        stack = state.amps[None]
-    elif isinstance(state, DensityOperator):
-        stack = state.mat[None]
-    else:
-        raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
+    stack = _as_stack(state)
     coherence, _, rhs = suite_stack(state.dims, stack)
-    names = suite_names(state.dims, isinstance(state, PureState))
+    names = suite_names(state.dims, stack.ndim == 2)
     return stack_results(names, coherence, rhs, tolerance)[0]
 
 

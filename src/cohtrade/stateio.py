@@ -12,25 +12,16 @@ rejected with a diagnostic naming the invariant.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 import numpy as np
 
-from .states import DensityOperator, InvalidStateError, LocalDims, PureState
-
-State = Union[PureState, DensityOperator]
+from .states import DensityOperator, InvalidStateError, LocalDims, PureState, State, _as_stack
 
 
 def state_to_dict(state: State) -> dict:
-    if isinstance(state, PureState):
-        flat = state.amps
-        kind = "pure"
-    elif isinstance(state, DensityOperator):
-        flat = state.mat.reshape(-1)
-        kind = "density"
-    else:
-        raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
-    data = [[float(z.real), float(z.imag)] for z in flat]
+    stack = _as_stack(state)
+    data = [[float(z.real), float(z.imag)] for z in stack.reshape(-1)]
+    kind = "pure" if stack.ndim == 2 else "density"
     return {"dims": list(state.dims.dims), "kind": kind, "data": data}
 
 

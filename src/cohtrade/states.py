@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -204,6 +204,18 @@ class DensityOperator:
         object.__setattr__(obj, "dims", dims)
         object.__setattr__(obj, "mat", mat)
         return obj
+
+
+State = Union[PureState, DensityOperator]
+
+
+def _as_stack(state: State) -> np.ndarray:
+    """A state as a one-state stack: amplitude rows ``(1, D)`` or a matrix ``(1, D, D)``."""
+    if isinstance(state, PureState):
+        return state.amps[None]
+    if isinstance(state, DensityOperator):
+        return state.mat[None]
+    raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
 
 
 def validate_stack(mats: np.ndarray) -> None:

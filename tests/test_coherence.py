@@ -21,7 +21,7 @@ from cohtrade import (
     two_term_state,
     w_state,
 )
-from cohtrade.coherence import RESIDUAL_WEIGHTS, stack_subsets
+from cohtrade.coherence import RESIDUAL_WEIGHTS, _coherence_rows, stack_subsets
 from cohtrade.states import sample_haar_stack
 from conftest import kron
 
@@ -219,29 +219,21 @@ def test_rows_are_those_rows_of_the_full_call(kind, rows):
         dims = LocalDims((2, 2, 2))
         states = np.stack([sample_ginibre_mixed(dims, 1 + s, 60 + s).mat for s in range(5)])
     full = coherence_stack(dims, states)
-    some = coherence_stack(dims, states, rows)
-    assert some.shape == (len(rows), 5)
-    assert some.tobytes() == full[list(rows)].tobytes()
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2,) * 5])
-@pytest.mark.parametrize("bad", [-1, "count", 1.0, True])
-def test_rows_outside_the_table_are_rejected(dims, bad):
-    # unchecked, the amplitude route would return row -1 from uninitialized memory
-    dims = LocalDims(dims)
-    count = 2**dims.n_parties - 1
-    rows = (0, count if bad == "count" else bad)
-    with pytest.raises(ValueError) as exc:
-        coherence_stack(dims, sample_haar_stack(dims, range(2)), rows)
-    assert str(exc.value) == f"rows must be integers in 0..{count - 1}, got {rows!r}"
+    some = _coherence_rows(dims, states, rows)  # Bound.evaluate's call
+    assert len(some) == len(rows) and all(row.shape == (5,) for row in some)
+    assert [row.tobytes() for row in some] == [full[r].tobytes() for r in rows]
 
 
 @pytest.mark.parametrize("rows", [None, (0, 6), (2,), ()])
 @pytest.mark.parametrize("shape", [(0, 8), (0, 8, 8), (0, 32)])
 def test_empty_stacks_give_empty_rows(shape, rows):
     dims = LocalDims((2,) * (5 if 32 in shape else 3))
-    expected = 2**dims.n_parties - 1 if rows is None else len(rows)
-    assert coherence_stack(dims, np.zeros(shape, dtype=complex), rows).shape == (expected, 0)
+    states = np.zeros(shape, dtype=complex)
+    if rows is None:
+        assert coherence_stack(dims, states).shape == (2**dims.n_parties - 1, 0)
+    else:
+        some = _coherence_rows(dims, states, rows)
+        assert len(some) == len(rows) and all(row.shape == (0,) for row in some)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cohtrade import (
     run_suite,
     sample_ginibre_mixed,
     sample_haar_pure,
+    state_to_dict,
     subset_coherence,
     suite_names,
     suite_stack,
@@ -533,13 +534,33 @@ TOLERANCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -5.0, True])
+@pytest.mark.parametrize(
+    "tolerance",
+    [math.nan, math.inf, -5.0, True, pytest.param(np.True_, id="np.True_"), "0.1", None,
+     pytest.param(10**400, id="10**400")],
+)
 @pytest.mark.parametrize("entry", list(TOLERANCE_ENTRY_POINTS), ids=list(TOLERANCE_ENTRY_POINTS))
 def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
     with pytest.raises(ValueError) as exc:
         TOLERANCE_ENTRY_POINTS[entry](tolerance)
     assert str(exc.value) == f"tolerance must be a finite number >= 0, got {tolerance!r}"
     TOLERANCE_ENTRY_POINTS[entry](0.0)  # while zero is a tolerance
+
+
+STATE_ENTRY_POINTS = {
+    "run_suite": run_suite,
+    "Bound.evaluate-thm1": THM1.evaluate,
+    "Bound.evaluate-thm3": next(b for b in bounds(THREE, pure=True) if b.name == "thm3").evaluate,
+    "state_to_dict": state_to_dict,
+}
+
+
+@pytest.mark.parametrize("state", [np.eye(8) / 8, "state"], ids=["ndarray", "str"])
+@pytest.mark.parametrize("entry", list(STATE_ENTRY_POINTS))
+def test_every_state_entry_point_rejects_a_non_state(entry, state):
+    expected = f"expected PureState or DensityOperator, got {type(state).__name__}"
+    with pytest.raises(TypeError, match=f"^{expected}$"):
+        STATE_ENTRY_POINTS[entry](state)
 
 
 # ---------------------------------------------------------------------------
