@@ -67,7 +67,8 @@ def stack_rows(n: int) -> MappingProxyType:
 #: amplitudes (:func:`_amplitude_coherence_stack`); smaller ones, like every
 #: mixed state, from their density matrix, so that below it every result
 #: keeps the per-state primitives' bits: the three-qubit acceptance gates,
-#: the sweeps and the search goldens all run there.
+#: the sweeps and the search goldens all run there.  ``chunk_states`` counts
+#: D entries for a pure state of this dimension and up, not D^2.
 AMPLITUDE_MIN_DIM = 32
 
 #: Gram-matrix entries that one batch of subset pairs and states may hold

@@ -2,7 +2,7 @@
 
 :func:`ensemble_reports` samples trial t from seed ``seed + t``, exactly as
 ``sample_haar_pure`` and ``sample_ginibre_mixed`` do, as one stack per
-chunk of at most ``CHUNK_ENTRIES`` matrix entries, and evaluates every bound
+chunk of at most ``CHUNK_ENTRIES`` entries, and evaluates every bound
 of :func:`inequalities.bounds` on the whole stack with
 :func:`inequalities.suite_stack`, the engine :func:`run_suite` runs on one
 state.
@@ -51,17 +51,17 @@ def ensemble_reports(
     check_count("trials", trials, 0)
     if rank is not None and not mixed:
         raise ValueError(f"rank applies to mixed ensembles only, got rank={rank!r}")
-    check_tolerance(tolerance)
-    check_seed(seed)  # also when there are no trials to sample
+    tolerance = check_tolerance(tolerance)
+    seed = int(check_seed(seed))  # also when there are no trials to sample
     dims = _as_dims(dims)
     if rank is not None:
         check_rank(dims, rank)  # also when there are no trials to sample
-    chunk = chunk_states(dims)
+    chunk = chunk_states(dims, not mixed)
     names = suite_names(dims, not mixed) if trials > 0 else []
     bound_rows = np.arange(len(names))
     violations = np.zeros(len(names), dtype=np.int64)
     min_slack = np.full(len(names), np.inf)
-    argmin_seed = [seed] * len(names)
+    argmin = np.zeros(len(names), dtype=np.int64)  # offsets from seed: a seed may exceed int64
     rank = dims.total_dim if rank is None else rank
     for start in range(seed, seed + trials, chunk):
         seeds = range(start, min(start + chunk, seed + trials))
@@ -74,10 +74,10 @@ def ensemble_reports(
         violations += len(seeds) - np.count_nonzero(slack >= -tolerance, axis=1)
         first = slack.argmin(axis=1)  # the first trial at the minimum, as a strict < scan keeps
         low = slack[bound_rows, first]
-        for k in (low < min_slack).nonzero()[0]:
-            min_slack[k] = low[k]
-            argmin_seed[k] = start + int(first[k])
+        lower = low < min_slack  # strict: a tie keeps the earlier chunk's seed
+        np.copyto(min_slack, low, where=lower)
+        np.copyto(argmin, first + (start - seed), where=lower)
     return [
-        TrialReport(name, trials, int(v), float(s), a, tolerance)
-        for name, v, s, a in zip(names, violations, min_slack, argmin_seed)
+        TrialReport(name, trials, v, s, seed + a, tolerance)
+        for name, v, s, a in zip(names, violations.tolist(), min_slack.tolist(), argmin.tolist())
     ]

@@ -144,10 +144,10 @@ def family_sweep(
     The points are evaluated in stacked chunks of :func:`suite_stack`, whose
     coherence rows and tau also give the numeric quantities.
     """
-    check_tolerance(tolerance)  # also for an empty grid
+    tolerance = check_tolerance(tolerance)  # also for an empty grid
     points = [family_point(family, params) for params in grid]
     names = suite_names(_THREE_QUBITS, pure=True)
-    chunk = chunk_states(_THREE_QUBITS)
+    chunk = chunk_states(_THREE_QUBITS, pure=True)
     records = []
     for start in range(0, len(points), chunk):
         part = points[start : start + chunk]

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .coherence import EPS_INEQ, _coherence_rows, coherence_stack, gamma, stack_rows
+from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _coherence_rows, coherence_stack, gamma
+from .coherence import stack_rows
 from .states import DensityOperator, InvalidStateError, LocalDims, PureState, State, SubsystemSet
 from .states import EPS_NORM, _as_dims, _as_stack, _is_integer, validate_stack
 from .tangle import three_tangle, three_tangle_stack
@@ -37,15 +38,20 @@ from .tangle import three_tangle, three_tangle_stack
 #: Verifiers excluded from pass/fail exit policies: their violations are data.
 CONJECTURE_PREFIX = "eq4"
 
-#: Matrix entries per stacked chunk (16 B each): callers of :func:`suite_stack`
+#: Complex entries per stacked chunk (16 B each): callers of :func:`suite_stack`
 #: hold at most :func:`chunk_states` states at once, so memory does not grow
 #: with the number of states.
 CHUNK_ENTRIES = 1 << 16
 
 
-def chunk_states(dims: LocalDims) -> int:
-    """States per stacked chunk at ``dims``: ``CHUNK_ENTRIES // D^2``, at least one."""
-    return max(1, CHUNK_ENTRIES // dims.total_dim**2)
+def chunk_states(dims: LocalDims, pure: bool) -> int:
+    """States per stacked chunk at ``dims``: ``CHUNK_ENTRIES`` over a state's entries, at least 1.
+
+    A state has ``D^2`` entries, except a pure one with ``D >= AMPLITUDE_MIN_DIM``:
+    it is reduced from its ``D`` amplitudes, in Gram blocks that ``GRAM_ENTRIES`` caps.
+    """
+    d = dims.total_dim
+    return max(1, CHUNK_ENTRIES // (d if pure and d >= AMPLITUDE_MIN_DIM else d * d))
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,10 @@ class InequalityResult:
 
 
 def check_tolerance(tolerance: float) -> float:
-    """Return ``tolerance`` if it is a finite, non-bool real >= 0, else raise ``ValueError``."""
+    """``tolerance`` as a float if it is a finite, non-bool real >= 0, else raise ``ValueError``.
+
+    Entry points keep the returned float, so results hold Python floats and bools.
+    """
     value = tolerance
     if type(tolerance) is not float:  # a plain float, once per search evaluation, skips this
         real = isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
@@ -71,7 +80,7 @@ def check_tolerance(tolerance: float) -> float:
             value = math.nan
     if not 0.0 <= value < math.inf:  # NaN fails this test
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-    return tolerance
+    return value
 
 
 def _result(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityResult:
@@ -117,7 +126,7 @@ class Bound:
         from Python 3.12 on, and sum(x) / k differs from sum(x / k), either of
         which would move slacks in the last bit).
         """
-        check_tolerance(tolerance)
+        tolerance = check_tolerance(tolerance)
         stack = _as_stack(state)
         if self.tangle:
             if stack.ndim != 2:
@@ -313,7 +322,7 @@ def stack_results(
     names: Sequence[str], coherence: np.ndarray, rhs: np.ndarray, tolerance: float
 ) -> list[list[InequalityResult]]:
     """The results of a :func:`suite_stack` call, one table-ordered list per state."""
-    check_tolerance(tolerance)
+    tolerance = check_tolerance(tolerance)
     return [
         [_result(name, lhs, r, tolerance) for name, r in zip(names, column)]
         for lhs, column in zip(coherence[-1].tolist(), rhs.T.tolist())

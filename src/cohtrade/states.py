@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 EPS_NORM = 1e-10
 EPS_HERM = 1e-10
@@ -304,15 +305,96 @@ def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
     return _box_muller(u1, u2)
 
 
+#: Stacks of fewer seeds seed each generator with ``np.random.default_rng``:
+#: below this, :func:`_seed_words`'s fixed cost (about 30 us) exceeds the
+#: 7-9 us per seed that it saves (measured break-even: 4 seeds).
+_HASH_MIN_SEEDS = 5
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiplier of ``count`` successive SeedSequence hashes from ``init``."""
+    xor, mul = [], []
+    for _ in range(count):
+        xor.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mul.append(init)
+    return np.array(xor, np.uint32), np.array(mul, np.uint32)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), as arrays:
+# a Python-int operand costs a uint32 ufunc call about 3x more.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# cross-mix of pool word s into the other three: one column per pool word, s's own unused
+_MIX_STEPS = tuple(
+    (s, *(np.insert(c[4 + 3 * s : 7 + 3 * s], s, 0) for c in (_POOL_XOR, _POOL_MUL)))
+    for s in range(4)
+)
+_MIX_LEFT = np.array(0xCA01F9DD, np.uint32)
+_MIX_RIGHT = np.array(0x4973F715, np.uint32)
+_SHIFT = np.array(16, np.uint32)
+_WORD = np.array(32, np.uint64)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = words ^ xor
+    words *= mul
+    words ^= words >> _SHIFT
+    return words
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each ``uint64`` seed s: ``(B, 4)``.
+
+    numpy's hash, computed for the whole stack at once: the pool's four
+    32-bit words start as the seed's low and high words and two zeros (its
+    entropy, zero-padded to the pool size), are hashed, then cross-mixed
+    twelve times; eight hashes of the pool cycled twice are the state,
+    read as little-endian 64-bit words.
+    """
+    pool = np.zeros((len(seeds), 4), np.uint32)
+    pool[:, 0] = seeds  # the cast keeps the low 32 bits
+    pool[:, 1] = seeds >> _WORD
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    for s, xor, mul in _MIX_STEPS:
+        mixed = pool * _MIX_LEFT
+        mixed -= _hashmix(pool[:, s, None], xor, mul) * _MIX_RIGHT
+        mixed ^= mixed >> _SHIFT
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    state = _hashmix(np.concatenate((pool, pool), axis=1), _STATE_XOR, _STATE_MUL)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands ``np.random.PCG64`` the four seed words :func:`_seed_words` computed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, np.uint64)
+        return self.words
+
+
 def _uniform_pairs(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
     """Uniforms in [0, 1) of shape ``(2, B) + shape``; ``u[:, t]`` comes from ``seeds[t]``.
 
-    Each seed, taken as checked, gets its own generator, which draws as
-    :func:`complex_normals` does: all of ``u[0, t]``, then all of ``u[1, t]``.
+    Each seed, taken as checked, gets the generator ``np.random.default_rng``
+    would give it, which draws as :func:`complex_normals` does: all of
+    ``u[0, t]``, then all of ``u[1, t]``.  A stack of at least
+    ``_HASH_MIN_SEEDS`` seeds below 2^64 hashes its seeds at once with
+    :func:`_seed_words`; numpy then seeds each PCG64 and draws.
     """
     u = np.empty((2, len(seeds)) + shape)
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rngs = map(np.random.default_rng, seeds)
+    if len(seeds) >= _HASH_MIN_SEEDS:
+        try:
+            words = _seed_words(np.array(seeds, dtype=np.uint64))
+        except OverflowError:  # a seed of 2^64 or more has more than two entropy words
+            pass
+        else:
+            rngs = (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
+    for row, rng in enumerate(rngs):
         rng.random(out=u[0, row])
         rng.random(out=u[1, row])
     return u

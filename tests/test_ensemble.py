@@ -127,14 +127,36 @@ def test_ensemble_reports_equal_per_state_aggregation(dims, mixed, rank):
 
 
 def test_ensemble_reports_across_chunks(monkeypatch):
-    # five qubits hold 64 trials per chunk: 70 trials take two
+    # five-qubit density matrices hold 64 trials per chunk: 70 trials take two
     five = LocalDims((2,) * 5)
-    assert ensemble_reports(five, 70, 3) == reference_reports(five, 70, 3)
+    assert ensemble_reports(five, 70, 3, True) == reference_reports(five, 70, 3, True)
     # three-qubit chunks of 5 trials, pure and mixed, with a ragged last chunk
     monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 5 * 64)
     three = LocalDims((2, 2, 2))
     assert ensemble_reports(three, 23, 11) == reference_reports(three, 23, 11)
     assert ensemble_reports(three, 23, 11, True, 2) == reference_reports(three, 23, 11, True, 2)
+
+
+def test_pure_chunks_count_amplitudes_on_the_amplitude_route():
+    # a pure state of D >= AMPLITUDE_MIN_DIM forms no D x D matrix
+    assert inequalities.chunk_states(LocalDims((2,) * 5), True) == 2**16 // 32
+    assert inequalities.chunk_states(LocalDims((2,) * 5), False) == 2**16 // 32**2
+    assert inequalities.chunk_states(LocalDims((2,) * 8), True) == 2**16 // 256
+    assert inequalities.chunk_states(LocalDims((2,) * 8), False) == 1
+    assert inequalities.chunk_states(LocalDims((3, 3, 3)), True) == 2**16 // 27**2
+
+
+@pytest.mark.parametrize(
+    "dims, mixed", [((2,) * 6, False), ((2, 2, 2), False), ((2, 2, 2), True)], ids=str
+)
+def test_reports_do_not_depend_on_the_chunk(monkeypatch, dims, mixed):
+    # the default chunk holds every trial; one trial per chunk folds them across chunks,
+    # where a tie (cor1-m3 at three qubits) keeps the earlier seed
+    dims = LocalDims(dims)
+    whole = ensemble_reports(dims, 24, 123, mixed)
+    monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 1)
+    assert inequalities.chunk_states(dims, not mixed) == 1
+    assert ensemble_reports(dims, 24, 123, mixed) == whole
 
 
 def test_zero_slack_ties_report_the_first_seed(monkeypatch):

@@ -2,15 +2,19 @@ import functools
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cohtrade import (
     DensityOperator,
+    InequalityResult,
     InvalidStateError,
     LocalDims,
     PureState,
+    SweepRecord,
+    TrialReport,
     bounds,
     density_from_pure,
     ensemble_reports,
@@ -545,6 +549,48 @@ def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
         TOLERANCE_ENTRY_POINTS[entry](tolerance)
     assert str(exc.value) == f"tolerance must be a finite number >= 0, got {tolerance!r}"
     TOLERANCE_ENTRY_POINTS[entry](0.0)  # while zero is a tolerance
+
+
+def _records(out):
+    """Every result and report in an entry point's output."""
+    if isinstance(out, (InequalityResult, TrialReport)):
+        yield out
+    elif isinstance(out, SweepRecord):
+        yield from out.results
+    else:
+        for item in out:
+            yield from _records(item)
+
+
+@pytest.mark.parametrize(
+    "tolerance",
+    [np.float32(0.1), Fraction(1, 3), np.float64(0.25), 1],
+    ids=["np.float32", "Fraction", "np.float64", "int"],
+)
+@pytest.mark.parametrize("entry", [e for e in TOLERANCE_ENTRY_POINTS if e != "family_sweep-empty"])
+def test_every_tolerance_entry_point_keeps_a_float(entry, tolerance):
+    if entry == "ensemble_reports":  # with trials, so that it reports
+        records = list(_records(ensemble_reports(THREE, 3, 0, tolerance=tolerance)))
+    else:
+        records = list(_records(TOLERANCE_ENTRY_POINTS[entry](tolerance)))
+    assert records
+    for record in records:
+        assert type(record.tolerance) is float and record.tolerance == float(tolerance)
+        if isinstance(record, InequalityResult):
+            assert type(record.holds) is bool
+
+
+@pytest.mark.parametrize(
+    "tolerance, text",
+    [(np.float32(0.1), "0.10000000149011612"), (Fraction(1, 3), "0.33333333333333331")],
+    ids=["np.float32", "Fraction"],
+)
+def test_csv_writes_a_real_tolerance_as_a_float(tolerance, text):
+    out = io.StringIO()
+    write_results_csv(out, run_suite(_PSI, tolerance))
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == len(suite_names(THREE, True))
+    assert all(row.endswith(f",true,{text}") for row in rows)
 
 
 STATE_ENTRY_POINTS = {
