@@ -15,7 +15,6 @@ from .coherence import (
     gamma,
     l1_coherence,
     subset_coherence,
-    theorem1_slack_D,
 )
 from .ensemble import TrialReport, ensemble_reports
 from .families import (
@@ -35,7 +34,6 @@ from .inequalities import (
     Bound,
     InequalityResult,
     bounds,
-    is_conjecture,
     run_suite,
     suite_names,
     suite_stack,
@@ -65,12 +63,7 @@ from .states import (
     sample_haar_pure,
 )
 from .stateio import read_state_file, state_from_dict, state_to_dict, write_state_file
-from .tangle import (
-    ckw_tangle_oracle,
-    dprime_slack,
-    three_tangle,
-    wootters_concurrence,
-)
+from .tangle import ckw_tangle_oracle, three_tangle, wootters_concurrence
 
 __version__ = "0.1.0"
 
@@ -112,13 +105,11 @@ __all__ = [
     "coherence_stack",
     "default_grid",
     "density_from_pure",
-    "dprime_slack",
     "ensemble_reports",
     "family_point",
     "family_sweep",
     "gamma",
     "ghz_state",
-    "is_conjecture",
     "l1_coherence",
     "minimize_slack",
     "partial_trace",
@@ -132,7 +123,6 @@ __all__ = [
     "subset_coherence",
     "suite_names",
     "suite_stack",
-    "theorem1_slack_D",
     "three_tangle",
     "two_term_state",
     "verify_additive_conjecture",

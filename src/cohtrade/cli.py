@@ -12,26 +12,30 @@ from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, fam
 from .inequalities import (
     InequalityResult,
     _csv_field,
+    bounds,
     check_tolerance,
     chunk_states,
     csv_row,
-    is_conjecture,
     run_suite,
     write_results_csv,
 )
 from .search import DEFAULT_ITERATIONS, DEFAULT_ROUNDS, minimize_slack
 from .states import InvalidStateError, LocalDims, PureState, check_seed, sample_haar_stack
 from .stateio import read_state_file
-from .tangle import ckw_tangle_oracle, dprime_slack, three_tangle
+from .tangle import ckw_tangle_oracle, three_tangle
 
 #: Header of ``sample --csv``: ``AGG``, then the fields of each bound's :class:`TrialReport`.
 AGG_CSV_HEADER = ",".join(("AGG", *(f.name for f in fields(TrialReport))))
 
 
-def _print_result_table(results: list[InequalityResult], out) -> None:
+def _proved(dims: LocalDims, pure: bool) -> dict[str, bool]:
+    return {b.name: b.proved for b in bounds(dims, pure)}
+
+
+def _print_result_table(results: list[InequalityResult], proved: dict[str, bool], out) -> None:
     print(f"{'name':<14}{'lhs':<24}{'rhs':<24}{'slack':<24}holds", file=out)
     for r in results:
-        status = "yes" if r.holds else ("violated (conjecture)" if is_conjecture(r.name) else "VIOLATED")
+        status = "yes" if r.holds else ("VIOLATED" if proved[r.name] else "violated (conjecture)")
         print(
             f"{r.name:<14}{r.lhs:<24.16g}{r.rhs:<24.16g}{r.slack:<24.16g}{status}",
             file=out,
@@ -39,9 +43,11 @@ def _print_result_table(results: list[InequalityResult], out) -> None:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(read_state_file(args.statefile), args.tolerance)
-    _print_result_table(results, sys.stdout)
-    failures = [r for r in results if not r.holds and not is_conjecture(r.name)]
+    state = read_state_file(args.statefile)
+    results = run_suite(state, args.tolerance)
+    proved = _proved(state.dims, isinstance(state, PureState))
+    _print_result_table(results, proved, sys.stdout)
+    failures = [r for r in results if not r.holds and proved[r.name]]
     for r in failures:
         print(f"bound violated: {r.name} (slack {r.slack:.3e})", file=sys.stderr)
     # written after the report, so that an unwritable file loses no line of it
@@ -64,8 +70,9 @@ def _cmd_sweep(args) -> int:
     print(f"family {args.family}: {len(records)} points")
     for q in QUANTITIES:
         print(f"  max |numeric - closed| for {q}: {worst[q]:.3e}")
+    proved = _proved(records[0].point.state.dims, pure=True)
     for name, slack in min_slack.items():
-        note = " (conjecture)" if is_conjecture(name) else ""
+        note = "" if proved[name] else " (conjecture)"
         print(f"  min slack {name}: {slack:.6g}{note}")
 
     if args.csv:
@@ -100,8 +107,9 @@ def _cmd_sample(args) -> int:
             f"{rep.name:<14}{rep.trials:<9}{rep.violations:<12}"
             f"{rep.min_slack:<26.17g}{rep.argmin_seed}"
         )
+    proved = _proved(dims, not args.mixed)
     for rep in reports:
-        if rep.violations and not is_conjecture(rep.name):
+        if rep.violations and proved[rep.name]:
             print(
                 f"WARNING: proved bound {rep.name} violated in {rep.violations} trials "
                 f"(min slack {rep.min_slack:.3e}, seed {rep.argmin_seed})",
@@ -136,14 +144,16 @@ def _cmd_oracle(args) -> int:
     dims = LocalDims((2, 2, 2))
     seed, stop = check_seed(args.seed), args.seed + args.trials
     chunk = chunk_states(dims, pure=True)
+    thm1 = next(b for b in bounds(dims, pure=True) if b.name == "thm1")
     max_diff = 0.0
     min_dprime_slack = float("inf")
     for start in range(seed, stop, chunk):  # one stack of seeds per chunk
-        for amps in sample_haar_stack(dims, range(start, min(start + chunk, stop))):
+        stack = sample_haar_stack(dims, range(start, min(start + chunk, stop)))
+        for amps, half_dprime in zip(stack, thm1.residual(stack).tolist()):
             psi = PureState._trusted(dims, amps)
             tau = three_tangle(psi)
             max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
-            min_dprime_slack = min(min_dprime_slack, dprime_slack(psi) - tau)
+            min_dprime_slack = min(min_dprime_slack, half_dprime - tau)
     print(f"tangle oracle comparison over {args.trials} Haar states (base seed {args.seed})")
     print(f"  max |tau_formula - tau_monogamy|: {max_diff:.3e}")
     print(f"  min (D'/2 - tau):                 {min_dprime_slack:.3e}")

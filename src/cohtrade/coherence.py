@@ -1,4 +1,4 @@
-"""l1-norm coherence of full states and reductions, plus residual slack terms."""
+"""l1-norm coherence of full states and reductions; each bound's residual is ``Bound.residual``."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from .states import DensityOperator, LocalDims, SubsystemSet, _is_integer
-from .states import _reduce, _require_three_qubits, partial_trace
+from .states import _reduce, partial_trace
 
 EPS_INEQ = 1e-9
 
@@ -173,18 +173,3 @@ def _coherence_rows(dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] 
         l1_coherence_stack(states if r == full else _reduce(dims, tensor, subsets[r]))
         for r in (range(len(subsets)) if rows is None else rows)
     ]
-
-
-# Weights of the three-qubit residuals: entry (r, c) pairs the basis labels
-# r and c (binary i1 i2 i3) and weighs their Hamming distance minus one, so
-# labels differing in two parties enter once and in all three parties twice.
-RESIDUAL_WEIGHTS = np.array(
-    [[max(0, (r ^ c).bit_count() - 1) for c in range(8)] for r in range(8)], dtype=float
-)
-RESIDUAL_WEIGHTS.setflags(write=False)
-
-
-def theorem1_slack_D(rho: DensityOperator) -> float:
-    """Residual D of the half-sum bound: 2*C123 - (C12+C13+C23) >= D >= 0."""
-    _require_three_qubits(rho.dims)
-    return float((RESIDUAL_WEIGHTS * np.abs(rho.mat)).sum())

@@ -35,9 +35,6 @@ from .states import DensityOperator, InvalidStateError, LocalDims, PureState, St
 from .states import EPS_NORM, _as_dims, _as_stack, _is_integer, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
-#: Verifiers excluded from pass/fail exit policies: their violations are data.
-CONJECTURE_PREFIX = "eq4"
-
 #: Complex entries per stacked chunk (16 B each): callers of :func:`suite_stack`
 #: hold at most :func:`chunk_states` states at once, so memory does not grow
 #: with the number of states.
@@ -88,15 +85,18 @@ def _result(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityRe
     return InequalityResult(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
 
 
-def is_conjecture(name: str) -> bool:
-    return name.startswith(CONJECTURE_PREFIX)
-
-
 @dataclass(frozen=True)
 class Bound:
     """C_full >= (sum of C_S over ``subsets``) / ``divisor``, plus tau if ``tangle``, at ``dims``.
 
     ``rows`` holds each subset's :func:`coherence_stack` row, from :func:`stack_rows`.
+
+    ``proved`` is true when no party lies in more than ``divisor`` subsets:
+    exactly then is ``w(p) = 1 - #{S : p within S} / divisor`` >= 0 for every
+    set p of parties in which two basis labels differ, so that, by the
+    triangle inequality, slack without tau >= :meth:`residual` >= 0 for every
+    state.  A tangle bound also rests on the paper's Theorem 3 (tau <= D'/2,
+    the ``thm1`` residual), which ``cohtrade oracle`` checks.
     """
 
     name: str
@@ -105,12 +105,15 @@ class Bound:
     divisor: int
     tangle: bool = False
     rows: tuple[int, ...] = field(init=False, repr=False)
+    proved: bool = field(init=False)
 
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         row = stack_rows(dims.n_parties)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "rows", tuple(row[s.check_against(dims)] for s in self.subsets))
+        share = max(sum(p in s.parties for s in self.subsets) for p in range(1, dims.n_parties + 1))
+        object.__setattr__(self, "proved", share <= self.divisor)
 
     def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
         """This bound alone on ``state``, which is not validated.
@@ -145,6 +148,24 @@ class Bound:
         total /= self.divisor
         rhs = total + tau if self.tangle else total
         return _result(self.name, lhs.item(), rhs, tolerance)
+
+    def residual(self, states: np.ndarray) -> np.ndarray:
+        """The slack without tau at ``np.abs(states)``: the sum of ``w(p) |rho_xy|``, ``(B,)``.
+
+        ``states`` holds unvalidated amplitude rows ``(B, D)`` or matrices
+        ``(B, D, D)`` at the bound's dims.  For ``thm1`` this is the paper's
+        D'/2 of a pure state and D/2 of a mixed one.  It is reduced and folded
+        as in :func:`suite_stack`, whose slack it equals bit for bit on |a|.
+        """
+        d = self.dims.total_dim
+        if states.ndim not in (2, 3) or states.shape[1:] != (d,) * (states.ndim - 1):
+            raise ValueError(
+                f"bound {self.name} is stated for dims {self.dims.dims}, "
+                f"got a stack of shape {states.shape}"
+            )
+        rows = (*self.rows, 2**self.dims.n_parties - 2)
+        *values, lhs = _coherence_rows(self.dims, np.abs(states).astype(np.complex128), rows)
+        return lhs - np.add.accumulate(values, axis=0)[-1] / self.divisor
 
 
 _Q3 = LocalDims((2, 2, 2))

@@ -9,7 +9,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .inequalities import InequalityResult, bounds, corollary_name
-from .states import LocalDims, PureState, _as_dims, check_count, check_seed, complex_normals
+from .states import LocalDims, PureState, _as_dims, _box_muller, _uniform_pairs, check_count
+from .states import check_seed
 
 Objective = Callable[[PureState], InequalityResult]
 
@@ -137,8 +138,8 @@ def minimize_slack(
 
     The search parameterizes a state by 2D real coordinates (real and
     imaginary amplitude parts), normalizing before each evaluation.
-    Restart r draws its start from seed + r, so runs are reproducible and
-    restarts may be distributed.
+    Restart r draws its start from seed + r, as row r of one stacked draw,
+    so runs are reproducible and restarts may be distributed.
     """
     check_count("restarts", restarts, 1)
     check_count("iterations", iterations, 0)
@@ -166,9 +167,8 @@ def minimize_slack(
     best_x: np.ndarray | None = None
     best_value = math.inf
     evaluations = 0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        z = complex_normals(rng, d)
+    starts = _box_muller(*_uniform_pairs(range(seed, seed + restarts), (d,)))
+    for z in starts:
         x0 = np.concatenate([z.real, z.imag])
         x, value, evals = _descend(f, x0, iterations, rounds)
         evaluations += evals

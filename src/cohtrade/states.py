@@ -294,15 +294,9 @@ def partial_trace(
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians (Re and Im each N(0,1)) from uniform pairs in [0, 1)."""
     radius = np.sqrt(-2.0 * np.log1p(-u1))  # log(1 - u1), safe at u1 = 0
     return radius * np.exp(2j * np.pi * u2)
-
-
-def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard complex Gaussians (Re and Im each N(0,1)) via Box-Muller."""
-    u1 = rng.random(size)
-    u2 = rng.random(size)
-    return _box_muller(u1, u2)
 
 
 #: Stacks of fewer seeds seed each generator with ``np.random.default_rng``:
@@ -380,10 +374,10 @@ def _uniform_pairs(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
     """Uniforms in [0, 1) of shape ``(2, B) + shape``; ``u[:, t]`` comes from ``seeds[t]``.
 
     Each seed, taken as checked, gets the generator ``np.random.default_rng``
-    would give it, which draws as :func:`complex_normals` does: all of
-    ``u[0, t]``, then all of ``u[1, t]``.  A stack of at least
-    ``_HASH_MIN_SEEDS`` seeds below 2^64 hashes its seeds at once with
-    :func:`_seed_words`; numpy then seeds each PCG64 and draws.
+    would give it, which draws all of ``u[0, t]``, then all of ``u[1, t]``;
+    :func:`_box_muller` turns the pair into standard complex Gaussians.  A
+    stack of at least ``_HASH_MIN_SEEDS`` seeds below 2^64 hashes its seeds
+    at once with :func:`_seed_words`; numpy then seeds each PCG64 and draws.
     """
     u = np.empty((2, len(seeds)) + shape)
     rngs = map(np.random.default_rng, seeds)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherence import RESIDUAL_WEIGHTS
 from .states import DensityOperator, PureState, density_from_pure, partial_trace
 from .states import _require_three_qubits
 
@@ -75,10 +74,3 @@ def ckw_tangle_oracle(psi: PureState) -> float:
     c_ab = wootters_concurrence(partial_trace(rho, (1, 2)))
     c_ac = wootters_concurrence(partial_trace(rho, (1, 3)))
     return max(0.0, 4.0 * det_a - c_ab**2 - c_ac**2)
-
-
-def dprime_slack(psi: PureState) -> float:
-    """Pure-state residual D'/2 = |a| W |a| / 2; satisfies D'/2 >= tau within tolerance."""
-    _require_three_qubits(psi.dims)
-    a = np.abs(psi.amps)
-    return float(a @ RESIDUAL_WEIGHTS @ a / 2.0)

@@ -11,6 +11,7 @@ from cohtrade import (
     InequalityResult,
     LocalDims,
     PureState,
+    bounds,
     density_from_pure,
     l1_coherence,
     sample_ginibre_mixed,
@@ -30,6 +31,28 @@ def haar_three_qubit():
 def ginibre_three_qubit():
     """Small shared ensemble of mixed three-qubit states of assorted ranks."""
     return [sample_ginibre_mixed((2, 2, 2), 1 + seed % 8, 10_000 + seed) for seed in range(200)]
+
+
+def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard complex Gaussians from one generator via Box-Muller: all of u1, then all of u2.
+
+    The per-seed reference of the stacked samplers: row t of a stack drawn
+    from seeds must equal this on ``np.random.default_rng(seeds[t])``.
+    """
+    u1 = rng.random(size)
+    u2 = rng.random(size)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+
+
+def table_bound(name, dims=(2, 2, 2), pure=False):
+    """The entry ``name`` of the bound table at ``dims`` and purity."""
+    (bound,) = [b for b in bounds(dims, pure) if b.name == name]
+    return bound
+
+
+def proved(dims, pure):
+    """``Bound.proved`` of each entry of the bound table at ``dims`` and purity, by name."""
+    return {b.name: b.proved for b in bounds(dims, pure)}
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

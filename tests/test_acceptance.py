@@ -13,7 +13,6 @@ from cohtrade import (
     ckw_tangle_oracle,
     default_grid,
     density_from_pure,
-    dprime_slack,
     ensemble_reports,
     family_sweep,
     ghz_state,
@@ -24,7 +23,6 @@ from cohtrade import (
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
-    theorem1_slack_D,
     three_tangle,
     two_term_state,
     verify_additive_conjecture,
@@ -36,9 +34,12 @@ from cohtrade import (
     write_state_file,
 )
 from cohtrade.states import LocalDims
+from conftest import table_bound
 
 EPS_INEQ = 1e-9
 CLOSED_FORM_TOL = 1e-10
+# its residual is the paper's D/2 on a density matrix and D'/2 on amplitudes
+THM1 = table_bound("thm1")
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -84,7 +85,7 @@ def three_qubit_property_stats():
                 min_slack[r.name] = r.slack
             if not r.holds:
                 violations += 1
-        d = theorem1_slack_D(rho)
+        d = 2 * THM1.residual(rho.mat[None]).item()
         min_d = min(min_d, d)
         min_residual = min(min_residual, 2.0 * results[0].slack - d)
         trials += 1
@@ -191,7 +192,7 @@ def test_criterion_6_tangle_oracle_equivalence(haar_tangle_ensemble):
         for psi in haar_tangle_ensemble:
             tau = three_tangle(psi)
             max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
-            min_slack = min(min_slack, dprime_slack(psi) - tau)
+            min_slack = min(min_slack, THM1.residual(psi.amps[None]).item() - tau)
         assert max_diff < 1e-8, f"max formula/oracle gap {max_diff}"
         assert min_slack >= -EPS_INEQ
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,12 @@ from cohtrade import (
     subset_coherence,
     suite_names,
     suite_stack,
-    theorem1_slack_D,
     two_term_state,
     w_state,
 )
-from cohtrade.coherence import RESIDUAL_WEIGHTS, _coherence_rows, stack_subsets
+from cohtrade.coherence import _coherence_rows, stack_subsets
 from cohtrade.states import sample_haar_stack
-from conftest import kron
+from conftest import kron, table_bound
 
 EPS = 1e-9
 
@@ -236,11 +237,56 @@ def test_empty_stacks_give_empty_rows(shape, rows):
         assert len(some) == len(rows) and all(row.shape == (0,) for row in some)
 
 
+def closed_form_rows(dims, b):
+    """Every :func:`coherence_stack` row of the nonnegative amplitudes ``b``, in closed form.
+
+    ``rho_S[i, j] = sum_k b_ik b_jk``, with i over the values of S's parties
+    and k over the others', has no negative entry, so
+    ``C_S = sum_k (sum_i b_ik)^2 - |b|^2``: a marginal sum of the amplitude tensor.
+    """
+    tensor = b.reshape(dims.dims)
+    norm = b @ b
+    rows = []
+    for subset in stack_subsets(dims.n_parties):
+        marginal = tensor.sum(axis=tuple(p - 1 for p in subset)).ravel()
+        rows.append(marginal @ marginal - norm)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dims", [(2,) * 3, (2,) * 6, (2,) * 10, (2,) * 12, (3, 3, 3), (2, 3, 4)])
+def test_every_row_has_the_closed_form_on_nonnegative_amplitudes(dims):
+    # amplitude rows take the amplitude route from D = 32 on; their
+    # projectors, and amplitude rows below D = 32, the density route
+    dims = LocalDims(dims)
+    b = np.abs(sample_haar_stack(dims, (7,)))
+    expected = closed_form_rows(dims, b[0])
+    assert expected.min() > 0.0
+    stacks = [b.astype(complex)]
+    if dims.total_dim <= 64:
+        stacks.append((b[:, :, None] * b[:, None, :]).astype(complex))
+    for stack in stacks:
+        rows = coherence_stack(dims, stack)[:, 0]
+        worst = np.max(np.abs(rows - expected) / expected)
+        assert worst <= 1e-13, (stack.shape, worst)
+
+
 # ---------------------------------------------------------------------------
-# theorem1_slack_D
+# the paper's residual D of Theorem 1: twice the thm1 residual
 # ---------------------------------------------------------------------------
 
-def test_d_terms_match_combinatorial_generation():
+THM1 = table_bound("thm1")
+
+#: How far the thm1 residual may lie from the paper's weighted sum of moduli:
+#: it is computed as a difference of coherences, the sum term by term (both
+#: are about 1; they agreed within 3.6e-15 over 4000 Ginibre states).
+RESIDUAL_TOL = 1e-14
+
+
+def slack_d(rho):
+    return 2 * THM1.residual(rho.mat[None]).item()
+
+
+def test_d_terms_match_combinatorial_generation(haar_three_qubit, ginibre_three_qubit):
     # weight of |rho[r, c]| is 2 minus the number of parties where the labels
     # agree; entries with zero weight are absent
     generated = {}
@@ -252,27 +298,36 @@ def test_d_terms_match_combinatorial_generation():
             weight = 2 - agreements
             if weight > 0:
                 generated[(r, c)] = weight
-    literal = {(r, c): int(w) for (r, c), w in np.ndenumerate(RESIDUAL_WEIGHTS) if w}
-    assert len(literal) == 32
-    assert sum(1 for w in literal.values() if w == 2) == 8
-    assert literal == generated
+    assert len(generated) == 32
+    assert sum(1 for w in generated.values() if w == 2) == 8
+    assert all(w == (r ^ c).bit_count() - 1 for (r, c), w in generated.items())
+    states = [density_from_pure(p) for p in haar_three_qubit] + ginibre_three_qubit
+    mats = np.stack([rho.mat for rho in states])
+    residual = THM1.residual(mats)
+    for rho, value in zip(states, residual.tolist()):
+        d = math.fsum(w * abs(rho.mat[r, c]) for (r, c), w in generated.items())
+        assert abs(value - d / 2) <= RESIDUAL_TOL
 
 
 def test_slack_d_examples():
-    assert theorem1_slack_D(diagonal_state((2, 2, 2))) == 0.0
-    assert theorem1_slack_D(density_from_pure(ghz_state(np.pi / 4))) == pytest.approx(2.0, abs=1e-12)
+    assert slack_d(diagonal_state((2, 2, 2))) == 0.0
+    assert slack_d(density_from_pure(ghz_state(np.pi / 4))) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_slack_d_rejects_wrong_dims():
-    with pytest.raises(ValueError):
-        theorem1_slack_D(sample_ginibre_mixed((2, 2), 2, 0))
+    message = r"bound thm1 is stated for dims \(2, 2, 2\), got a stack of shape \(1, 4, 4\)"
+    with pytest.raises(ValueError, match=message):
+        slack_d(sample_ginibre_mixed((2, 2), 2, 0))
+    for shape in ((8,), (1, 4), (1, 8, 4), (1, 1, 8, 8)):
+        with pytest.raises(ValueError, match="bound thm1"):
+            THM1.residual(np.zeros(shape))
 
 
 def test_slack_d_bounded_by_double_residual(haar_three_qubit, ginibre_three_qubit):
     states = [density_from_pure(p) for p in haar_three_qubit] + ginibre_three_qubit
     for rho in states:
         pairs = sum(subset_coherence(rho, p) for p in ((1, 2), (1, 3), (2, 3)))
-        d = theorem1_slack_D(rho)
+        d = slack_d(rho)
         assert d >= 0.0
         assert 2 * l1_coherence(rho) - pairs - d >= -EPS
 

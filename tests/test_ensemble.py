@@ -10,7 +10,7 @@ also checks it against the density route within ``ROUTE_RTOL``.
 
 import numpy as np
 import pytest
-from conftest import route_slacks
+from conftest import complex_normals, route_slacks
 
 from cohtrade import (
     DensityOperator,
@@ -26,7 +26,7 @@ from cohtrade import (
     three_tangle,
 )
 from cohtrade import inequalities
-from cohtrade.states import complex_normals, sample_haar_stack
+from cohtrade.states import sample_haar_stack
 
 WIDE_DIMS = [(2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2)]
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import paper_rhs
+from conftest import paper_rhs, proved
 
 from cohtrade import (
     closed_forms,
@@ -9,7 +9,6 @@ from cohtrade import (
     family_point,
     family_sweep,
     ghz_state,
-    is_conjecture,
     l1_coherence,
     subset_coherence,
     three_tangle,
@@ -83,7 +82,7 @@ def test_ghz_sweep_matches_closed_forms():
         for q in ("c123", "c12", "c13", "c23", "tau"):
             assert abs(rec.numeric[q] - rec.closed[q]) < 1e-10
         for r in rec.results:
-            if not is_conjecture(r.name):
+            if proved((2, 2, 2), pure=True)[r.name]:
                 assert r.holds
 
 

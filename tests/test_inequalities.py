@@ -21,7 +21,6 @@ from cohtrade import (
     family_sweep,
     gamma,
     ghz_state,
-    is_conjecture,
     l1_coherence,
     read_state_file,
     resolve_objective,
@@ -47,7 +46,7 @@ from cohtrade import (
 )
 from cohtrade.inequalities import stack_results
 from cohtrade.states import sample_haar_stack
-from conftest import kron, paper_rhs, read_results_csv
+from conftest import kron, paper_rhs, proved, read_results_csv
 
 EPS = 1e-9
 
@@ -152,7 +151,7 @@ def test_additive_conjecture_violated_by_two_term_state():
     assert r.lhs == pytest.approx(1.0, abs=1e-12)
     assert r.rhs == pytest.approx(2.0, abs=1e-12)
     assert not r.holds
-    assert is_conjecture(r.name)
+    assert not proved((2, 2, 2), pure=False)[r.name]
 
 
 def test_additive_conjecture_holds_for_ghz():
@@ -316,7 +315,7 @@ def test_suite_on_mixed_three_qubit_state():
     results = run_suite(sample_ginibre_mixed((2, 2, 2), 4, 5))
     names = [r.name for r in results]
     assert "thm3" not in names and "eq10" not in names
-    assert all(r.holds for r in results if not is_conjecture(r.name))
+    assert all(r.holds for r in results if proved((2, 2, 2), pure=False)[r.name])
 
 
 def test_suite_on_four_qubit_mixed_state():

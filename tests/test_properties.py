@@ -23,7 +23,6 @@ from cohtrade import (
     cli_main,
     density_from_pure,
     ghz_state,
-    is_conjecture,
     partial_trace,
     read_state_file,
     run_suite,
@@ -33,6 +32,7 @@ from cohtrade import (
     two_term_state,
 )
 from cohtrade.states import _reduce
+from conftest import proved
 
 DIMS = LocalDims((2, 2, 2))
 TOL = 1e-12
@@ -174,7 +174,8 @@ well_formed = st.one_of(
 def test_verify_exits_zero_iff_every_proved_bound_holds(state, tolerance):
     rc, out, err, read = run_verify(state_to_dict(state), tolerance)
     results = run_suite(read, tolerance)
-    failed = [r.name for r in results if not r.holds and not is_conjecture(r.name)]
+    table = proved(read.dims, isinstance(read, PureState))
+    failed = [r.name for r in results if not r.holds and table[r.name]]
     assert rc == (1 if failed else 0)
     assert err.splitlines() == [line for line in err.splitlines() if line.startswith("bound")]
     assert [line.split()[2] for line in err.splitlines()] == failed

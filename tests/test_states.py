@@ -19,9 +19,9 @@ from cohtrade import (
     sample_ginibre_mixed,
     sample_haar_pure,
 )
-from cohtrade.states import complex_normals, sample_ginibre_stack, validate_stack
+from cohtrade.states import sample_ginibre_stack, validate_stack
 
-from conftest import kron, random_hermitian
+from conftest import complex_normals, kron, random_hermitian
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,27 @@ from cohtrade import (
     PureState,
     ckw_tangle_oracle,
     density_from_pure,
-    dprime_slack,
     ghz_state,
     l1_coherence,
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
-    theorem1_slack_D,
     three_tangle,
     w_state,
     wootters_concurrence,
 )
 from cohtrade.states import sample_haar_stack
 from cohtrade.tangle import _SYSY, three_tangle_stack
+from conftest import table_bound
 
 EPS = 1e-9
 THREE_QUBITS = LocalDims((2, 2, 2))
+THM1 = table_bound("thm1", pure=True)
+
+
+def half_dprime(psi):
+    """The paper's D'/2 of a pure three-qubit state: the ``thm1`` residual of its amplitudes."""
+    return THM1.residual(psi.amps[None]).item()
 
 
 def spin_flip_spectrum_direct(rho):
@@ -152,41 +157,41 @@ def test_tangle_formula_matches_ckw_oracle(haar_three_qubit):
 
 
 # ---------------------------------------------------------------------------
-# dprime_slack
+# D'/2: the thm1 residual of a pure state
 # ---------------------------------------------------------------------------
 
 def test_dprime_slack_single_amplitude():
     amps = np.zeros(8)
     amps[0] = 1.0
-    assert dprime_slack(PureState(THREE_QUBITS, amps)) == 0.0
+    assert half_dprime(PureState(THREE_QUBITS, amps)) == 0.0
 
 
 def test_dprime_slack_ghz():
-    assert dprime_slack(ghz_state(np.pi / 4)) == pytest.approx(1.0, abs=1e-12)
+    assert half_dprime(ghz_state(np.pi / 4)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dprime_dominates_tangle(haar_three_qubit):
     for psi in haar_three_qubit:
-        assert dprime_slack(psi) >= three_tangle(psi) - EPS
+        assert half_dprime(psi) >= three_tangle(psi) - EPS
 
 
 def test_dprime_is_half_the_density_residual(haar_three_qubit):
-    # for pure states the density-level residual collapses to twice D'/2
+    # for pure states the density-level residual D collapses to twice D'/2
     for psi in haar_three_qubit[:50]:
-        rho = density_from_pure(psi)
-        assert theorem1_slack_D(rho) == pytest.approx(2 * dprime_slack(psi), abs=1e-12)
+        d = 2 * THM1.residual(density_from_pure(psi).mat[None]).item()
+        assert d == pytest.approx(2 * half_dprime(psi), abs=1e-12)
 
 
 def test_dprime_consistent_with_pairwise_bound(haar_three_qubit):
     for psi in haar_three_qubit[:50]:
         rho = density_from_pure(psi)
         pairs = sum(subset_coherence(rho, p) for p in ((1, 2), (1, 3), (2, 3)))
-        assert l1_coherence(rho) >= pairs / 2 + dprime_slack(psi) - EPS
+        assert l1_coherence(rho) >= pairs / 2 + half_dprime(psi) - EPS
 
 
 def test_dprime_rejects_wrong_dims():
-    with pytest.raises(ValueError):
-        dprime_slack(sample_haar_pure((2, 2), 1))
+    with pytest.raises(ValueError, match=r"bound thm1 is stated for dims \(2, 2, 2\)"):
+        THM1.residual(sample_haar_pure((2, 2), 1).amps[None])
 
 
 def test_stacked_tangle_equals_scalar_formula():
