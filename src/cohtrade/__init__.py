@@ -19,11 +19,9 @@ from .coherence import (
 from .ensemble import TrialReport, ensemble_reports
 from .families import (
     FAMILIES,
-    FamilyPoint,
-    SweepRecord,
+    Sweep,
     closed_forms,
     default_grid,
-    family_point,
     family_sweep,
     ghz_state,
     two_term_state,
@@ -88,7 +86,6 @@ __all__ = [
     "EPS_NORM",
     "EPS_PSD",
     "FAMILIES",
-    "FamilyPoint",
     "InequalityResult",
     "InvalidStateError",
     "LocalDims",
@@ -96,7 +93,7 @@ __all__ = [
     "PureState",
     "SearchOutcome",
     "SubsystemSet",
-    "SweepRecord",
+    "Sweep",
     "TrialReport",
     "bounds",
     "ckw_tangle_oracle",
@@ -106,7 +103,6 @@ __all__ = [
     "default_grid",
     "density_from_pure",
     "ensemble_reports",
-    "family_point",
     "family_sweep",
     "gamma",
     "ghz_state",

@@ -6,6 +6,8 @@ import argparse
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .coherence import EPS_INEQ
 from .ensemble import TrialReport, ensemble_reports
 from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, family_sweep
@@ -59,37 +61,30 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = default_grid(args.family, args.points)
-    records = family_sweep(args.family, grid, args.tolerance)
-    worst = {q: 0.0 for q in QUANTITIES}
-    min_slack: dict[str, float] = {}
-    for rec in records:
-        for q in QUANTITIES:
-            worst[q] = max(worst[q], abs(rec.numeric[q] - rec.closed[q]))
-        for r in rec.results:
-            min_slack[r.name] = min(min_slack.get(r.name, float("inf")), r.slack)
-    print(f"family {args.family}: {len(records)} points")
-    for q in QUANTITIES:
-        print(f"  max |numeric - closed| for {q}: {worst[q]:.3e}")
-    proved = _proved(records[0].point.state.dims, pure=True)
-    for name, slack in min_slack.items():
+    sweep = family_sweep(args.family, grid, args.tolerance)
+    worst = np.abs(sweep.numeric - sweep.closed).max(axis=1)
+    print(f"family {args.family}: {len(sweep)} points")
+    for q, gap in zip(QUANTITIES, worst.tolist()):
+        print(f"  max |numeric - closed| for {q}: {gap:.3e}")
+    proved = _proved(LocalDims((2, 2, 2)), pure=True)
+    for name, slack in zip(sweep.names, sweep.slack.min(axis=1).tolist()):
         note = "" if proved[name] else " (conjecture)"
         print(f"  min slack {name}: {slack:.6g}{note}")
 
     if args.csv:
-        verifier_names = [r.name for r in records[0].results]
         header = (
             ["family", "index", *FAMILY_PARAMETERS[args.family]]
             + [col for q in QUANTITIES for col in (f"{q}_closed", q)]
-            + [col for v in verifier_names for col in (f"{v}:slack", f"{v}:holds")]
+            + [col for v in sweep.names for col in (f"{v}:slack", f"{v}:holds")]
         )
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for i, rec in enumerate(records):
-                row = [args.family, i, *rec.point.params]
-                for q in QUANTITIES:
-                    row += [rec.closed[q], rec.numeric[q]]
-                for r in rec.results:
-                    row += [r.slack, r.holds]
+            for i, params in enumerate(sweep.params):
+                row = [args.family, i, *params]
+                for pair in zip(sweep.closed[:, i].tolist(), sweep.numeric[:, i].tolist()):
+                    row += pair
+                for pair in zip(sweep.slack[:, i].tolist(), sweep.holds[:, i].tolist()):
+                    row += pair
                 fh.write(",".join(map(_csv_field, row)) + "\n")
     return 0
 

@@ -9,8 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ, stack_rows
-from .inequalities import InequalityResult, check_tolerance, chunk_states, stack_results
-from .inequalities import suite_names, suite_stack
+from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
 from .states import LocalDims, PureState, SubsystemSet, check_count
 
 #: Each family's parameter names, in the order its functions take them.
@@ -28,38 +27,31 @@ QUANTITIES = ("c123", "c12", "c13", "c23", "tau")
 _QUANTITY_ROWS = [stack_rows(3)[SubsystemSet(p)] for p in ((1, 2, 3), (1, 2), (1, 3), (2, 3))]
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyPoint:
-    """One member of a parameterized family, with its realized state."""
-
-    family: str
-    params: tuple[float, ...]
-    state: PureState
+def _amplitudes(family: str, grid: Sequence[Sequence[float]]) -> np.ndarray:
+    """The family's amplitude rows ``(len(grid), 8)``, one per point of ``grid``."""
+    amps = np.zeros((len(grid), 8), dtype=np.complex128)
+    if family == "w":  # |100>, |010>, |001>
+        amps[:, [4, 2, 1]] = [
+            (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)) for t, p in grid
+        ]
+    else:  # cos |000> + sin |111> for ghz, |100> for two-term
+        amps[:, [0, 7 if family == "ghz" else 4]] = [(math.cos(a), math.sin(a)) for (a,) in grid]
+    return amps
 
 
 def ghz_state(phi: float) -> PureState:
     """cos(phi)|000> + sin(phi)|111>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = math.cos(phi)
-    amps[7] = math.sin(phi)
-    return PureState(_THREE_QUBITS, amps)
+    return PureState(_THREE_QUBITS, _amplitudes("ghz", [(phi,)])[0])
 
 
 def w_state(theta: float, phi: float) -> PureState:
     """sin(theta)cos(phi)|100> + sin(theta)sin(phi)|010> + cos(theta)|001>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[4] = math.sin(theta) * math.cos(phi)
-    amps[2] = math.sin(theta) * math.sin(phi)
-    amps[1] = math.cos(theta)
-    return PureState(_THREE_QUBITS, amps)
+    return PureState(_THREE_QUBITS, _amplitudes("w", [(theta, phi)])[0])
 
 
 def two_term_state(alpha: float) -> PureState:
     """cos(alpha)|000> + sin(alpha)|100>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = math.cos(alpha)
-    amps[4] = math.sin(alpha)
-    return PureState(_THREE_QUBITS, amps)
+    return PureState(_THREE_QUBITS, _amplitudes("two-term", [(alpha,)])[0])
 
 
 def _family_params(family: str, params: Sequence[float]) -> tuple[float, ...]:
@@ -74,14 +66,14 @@ def _family_params(family: str, params: Sequence[float]) -> tuple[float, ...]:
     return params
 
 
-def family_point(family: str, params: Sequence[float]) -> FamilyPoint:
+def _grid_point(family: str, params: Sequence[float]) -> tuple[float, ...]:
+    """``params`` as floats, checked against the family's parameter count and domains."""
     params = _family_params(family, params)
     for name, value in zip(FAMILY_PARAMETERS[family], params):
         upper, label = _DOMAINS[name]
         if not 0.0 <= value < upper:
             raise ValueError(f"{family} parameter {name}={value} outside [0, {label})")
-    state = {"ghz": ghz_state, "w": w_state, "two-term": two_term_state}[family](*params)
-    return FamilyPoint(family, params, state)
+    return params
 
 
 def closed_forms(family: str, params: Sequence[float]) -> dict[str, float]:
@@ -111,13 +103,26 @@ def closed_forms(family: str, params: Sequence[float]) -> dict[str, float]:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepRecord:
-    """One grid point: state, closed forms, numeric values and suite results."""
+class Sweep:
+    """A family sweep in grid order: closed forms, numeric values and every bound's slack.
 
-    point: FamilyPoint
-    closed: dict[str, float]
-    numeric: dict[str, float]
-    results: tuple[InequalityResult, ...]
+    ``closed`` and ``numeric`` are ``(5, P)``, with rows in ``QUANTITIES``
+    order; ``slack`` and ``holds`` are ``(K, P)``, row k for bound
+    ``names[k]``.  ``holds`` means ``slack >= -tolerance``.  ``len(sweep)``
+    is the number of points P.
+    """
+
+    family: str
+    params: list[tuple[float, ...]]
+    names: tuple[str, ...]
+    closed: np.ndarray
+    numeric: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+    tolerance: float
+
+    def __len__(self) -> int:
+        return len(self.params)
 
 
 def default_grid(family: str, points: int) -> list[tuple[float, ...]]:
@@ -138,29 +143,27 @@ def family_sweep(
     family: str,
     grid: Iterable[Sequence[float]],
     tolerance: float = EPS_INEQ,
-) -> list[SweepRecord]:
+) -> Sweep:
     """Run the full verifier suite at every grid point.
 
     The points are evaluated in stacked chunks of :func:`suite_stack`, whose
-    coherence rows and tau also give the numeric quantities.
+    coherence rows and tau also give the numeric quantities; each chunk's
+    amplitudes are built inside the loop, so only ``params`` and the arrays
+    grow with the grid.
     """
     tolerance = check_tolerance(tolerance)  # also for an empty grid
-    points = [family_point(family, params) for params in grid]
-    names = suite_names(_THREE_QUBITS, pure=True)
+    params = [_grid_point(family, point) for point in grid]
+    names = tuple(suite_names(_THREE_QUBITS, pure=True))
+    closed = np.empty((len(QUANTITIES), len(params)))
+    numeric = np.empty_like(closed)
+    slack = np.empty((len(names), len(params)))
     chunk = chunk_states(_THREE_QUBITS, pure=True)
-    records = []
-    for start in range(0, len(points), chunk):
-        part = points[start : start + chunk]
-        coherence, tau, rhs = suite_stack(_THREE_QUBITS, np.stack([p.state.amps for p in part]))
-        numeric = np.vstack((coherence[_QUANTITY_ROWS], tau)).T.tolist()
-        results = stack_results(names, coherence, rhs, tolerance)
-        for point, values, point_results in zip(part, numeric, results):
-            records.append(
-                SweepRecord(
-                    point,
-                    closed_forms(family, point.params),
-                    dict(zip(QUANTITIES, values)),
-                    tuple(point_results),
-                )
-            )
-    return records
+    for start in range(0, len(params), chunk):
+        part = params[start : start + chunk]
+        columns = slice(start, start + len(part))
+        coherence, tau, rhs = suite_stack(_THREE_QUBITS, _amplitudes(family, part))
+        # closed forms per point on math, whose sin and cos do not vary with numpy's SIMD paths
+        closed[:, columns] = np.transpose([list(closed_forms(family, p).values()) for p in part])
+        numeric[:, columns] = np.vstack((coherence[_QUANTITY_ROWS], tau))
+        slack[:, columns] = coherence[-1] - rhs
+    return Sweep(family, params, names, closed, numeric, slack, slack >= -tolerance, tolerance)

@@ -339,17 +339,6 @@ def suite_stack(
     return coherence, tau, rhs
 
 
-def stack_results(
-    names: Sequence[str], coherence: np.ndarray, rhs: np.ndarray, tolerance: float
-) -> list[list[InequalityResult]]:
-    """The results of a :func:`suite_stack` call, one table-ordered list per state."""
-    tolerance = check_tolerance(tolerance)
-    return [
-        [_result(name, lhs, r, tolerance) for name, r in zip(names, column)]
-        for lhs, column in zip(coherence[-1].tolist(), rhs.T.tolist())
-    ]
-
-
 def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResult]:
     """Evaluate every bound of :func:`bounds`, in table order.
 
@@ -360,8 +349,10 @@ def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResul
     """
     stack = _as_stack(state)
     coherence, _, rhs = suite_stack(state.dims, stack)
+    tolerance = check_tolerance(tolerance)
+    lhs = coherence[-1, 0].item()
     names = suite_names(state.dims, stack.ndim == 2)
-    return stack_results(names, coherence, rhs, tolerance)[0]
+    return [_result(name, lhs, r, tolerance) for name, r in zip(names, rhs[:, 0].tolist())]
 
 
 # ---------------------------------------------------------------------------

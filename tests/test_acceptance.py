@@ -33,6 +33,7 @@ from cohtrade import (
     verify_theorem3,
     write_state_file,
 )
+from cohtrade.families import QUANTITIES
 from cohtrade.states import LocalDims
 from conftest import table_bound
 
@@ -76,24 +77,26 @@ def three_qubit_property_stats():
     min_residual = math.inf  # 2*C123 - (C12+C13+C23) - D
     trials = 0
 
-    def examine(rho):
+    def examine(ensemble):
         nonlocal violations, min_d, min_residual, trials
-        results = [verify_theorem1(rho), verify_singles_sum(rho)]
-        results += [verify_marginal_split(rho, s) for s in (1, 2, 3)]
-        for r in results:
-            if r.slack < min_slack[r.name]:
-                min_slack[r.name] = r.slack
-            if not r.holds:
-                violations += 1
-        d = 2 * THM1.residual(rho.mat[None]).item()
-        min_d = min(min_d, d)
-        min_residual = min(min_residual, 2.0 * results[0].slack - d)
-        trials += 1
+        thm1_slack = []
+        for rho in ensemble:
+            results = [verify_theorem1(rho), verify_singles_sum(rho)]
+            results += [verify_marginal_split(rho, s) for s in (1, 2, 3)]
+            for r in results:
+                if r.slack < min_slack[r.name]:
+                    min_slack[r.name] = r.slack
+                if not r.holds:
+                    violations += 1
+            thm1_slack.append(results[0].slack)
+            trials += 1
+        # one stacked call: at D = 8 each state's residual does not depend on the rest
+        d = 2 * THM1.residual(np.stack([rho.mat for rho in ensemble]))
+        min_d = min(min_d, d.min().item())
+        min_residual = min(min_residual, (2.0 * np.array(thm1_slack) - d).min().item())
 
-    for seed in range(10_000):
-        examine(density_from_pure(sample_haar_pure(dims, seed)))
-    for seed in range(10_000):
-        examine(sample_ginibre_mixed(dims, 1 + seed % 8, 20_000 + seed))
+    examine([density_from_pure(sample_haar_pure(dims, seed)) for seed in range(10_000)])
+    examine([sample_ginibre_mixed(dims, 1 + seed % 8, 20_000 + seed) for seed in range(10_000)])
 
     return {
         "min_slack": min_slack,
@@ -115,34 +118,32 @@ def haar_tangle_ensemble():
 
 def test_criterion_1_ghz_reproduction():
     with _Criterion(1, "GHZ closed forms and tangle-bound equality"):
-        records = family_sweep("ghz", [(np.pi / 4,)])
-        rec = records[0]
-        assert abs(rec.numeric["c123"] - 1.0) < CLOSED_FORM_TOL
+        point = family_sweep("ghz", [(np.pi / 4,)])
+        numeric = dict(zip(QUANTITIES, point.numeric[:, 0].tolist()))
+        assert abs(numeric["c123"] - 1.0) < CLOSED_FORM_TOL
         for pair in ("c12", "c13", "c23"):
-            assert abs(rec.numeric[pair]) < CLOSED_FORM_TOL
-        assert abs(rec.numeric["tau"] - 1.0) < CLOSED_FORM_TOL
-        thm3 = next(r for r in rec.results if r.name == "thm3")
-        assert thm3.holds and abs(thm3.slack) < 1e-10
+            assert abs(numeric[pair]) < CLOSED_FORM_TOL
+        assert abs(numeric["tau"] - 1.0) < CLOSED_FORM_TOL
+        thm3 = point.names.index("thm3")
+        assert point.holds[thm3, 0] and abs(point.slack[thm3, 0]) < 1e-10
 
         sweep = family_sweep("ghz", default_grid("ghz", 64))
         assert len(sweep) == 64
-        for rec in sweep:
-            phi = rec.point.params[0]
-            assert abs(rec.numeric["c123"] - 2 * abs(math.sin(phi) * math.cos(phi))) < 1e-10
-            assert abs(rec.numeric["tau"] - 4 * abs(math.cos(phi) ** 2 * math.sin(phi) ** 2)) < 1e-10
+        for i, (phi,) in enumerate(sweep.params):
+            numeric = dict(zip(QUANTITIES, sweep.numeric[:, i].tolist()))
+            closed = dict(zip(QUANTITIES, sweep.closed[:, i].tolist()))
+            assert abs(numeric["c123"] - 2 * abs(math.sin(phi) * math.cos(phi))) < 1e-10
+            assert abs(numeric["tau"] - 4 * abs(math.cos(phi) ** 2 * math.sin(phi) ** 2)) < 1e-10
             for q in ("c12", "c13", "c23"):
-                assert abs(rec.numeric[q] - rec.closed[q]) < 1e-10
+                assert abs(numeric[q] - closed[q]) < 1e-10
 
 
 def test_criterion_2_w_reproduction():
     with _Criterion(2, "W closed forms on a 32x32 grid, tangle bound everywhere"):
         sweep = family_sweep("w", default_grid("w", 32))
         assert len(sweep) == 1024
-        for rec in sweep:
-            for q in ("c123", "c12", "c13", "c23", "tau"):
-                assert abs(rec.numeric[q] - rec.closed[q]) < 1e-10
-            thm3 = next(r for r in rec.results if r.name == "thm3")
-            assert thm3.holds
+        assert (abs(sweep.numeric - sweep.closed) < 1e-10).all()
+        assert sweep.holds[sweep.names.index("thm3")].all()
 
 
 def test_criterion_3_conjecture_refutation():
@@ -188,11 +189,11 @@ def test_criterion_5_subset_family_bound_for_higher_n_and_qudits():
 def test_criterion_6_tangle_oracle_equivalence(haar_tangle_ensemble):
     with _Criterion(6, "tangle formula vs monogamy oracle, and D'/2 >= tau"):
         max_diff = 0.0
-        min_slack = math.inf
-        for psi in haar_tangle_ensemble:
-            tau = three_tangle(psi)
-            max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
-            min_slack = min(min_slack, THM1.residual(psi.amps[None]).item() - tau)
+        tau = np.array([three_tangle(psi) for psi in haar_tangle_ensemble])
+        for psi, t in zip(haar_tangle_ensemble, tau.tolist()):
+            max_diff = max(max_diff, abs(t - ckw_tangle_oracle(psi)))
+        residual = THM1.residual(np.stack([psi.amps for psi in haar_tangle_ensemble]))
+        min_slack = (residual - tau).min().item()
         assert max_diff < 1e-8, f"max formula/oracle gap {max_diff}"
         assert min_slack >= -EPS_INEQ
 

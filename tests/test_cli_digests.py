@@ -27,6 +27,8 @@ COMMANDS = {
         f"sweep-{family}": ["sweep", family, "--points", "24", "--csv", "{dir}/out.csv"]
         for family in ("ghz", "w", "two-term")
     },
+    # 1600 points: more than one stacked chunk of 1024 states
+    "sweep-w-40": ["sweep", "w", "--points", "40", "--csv", "{dir}/out.csv"],
     "sample-q3-pure": ["sample", "--dims", "2,2,2", "--trials", "200", "--csv", "{dir}/out.csv"],
     "sample-q3-mixed": [
         "sample", "--dims", "2,2,2", "--trials", "200", "--seed", "7", "--mixed",
@@ -55,6 +57,7 @@ DIGESTS = {
     "sweep-ghz": (0, "9870a60b09366ad3", "e3b0c44298fc1c14", "0e52a972f7c26ac9"),
     "sweep-two-term": (0, "7ff84834f356a91e", "e3b0c44298fc1c14", "1734c7a357653b4c"),
     "sweep-w": (0, "338bee7e65e721e2", "e3b0c44298fc1c14", "6961d0106618b61f"),
+    "sweep-w-40": (0, "09de6570b2eed8ba", "e3b0c44298fc1c14", "e7e01a6f96ec3b83"),
     "verify-density-q3": (0, "d147559b89141050", "e3b0c44298fc1c14", "9aead7f7cdf32eeb"),
     "verify-density-q4": (0, "ebf74cf4d2e6b961", "e3b0c44298fc1c14", "e6fab6ce9e923d2c"),
     "verify-density-q5": (0, "31680a1bbde7613f", "e3b0c44298fc1c14", "5e01bd7bf005662f"),

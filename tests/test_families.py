@@ -6,7 +6,6 @@ from cohtrade import (
     closed_forms,
     default_grid,
     density_from_pure,
-    family_point,
     family_sweep,
     ghz_state,
     l1_coherence,
@@ -16,6 +15,9 @@ from cohtrade import (
     w_state,
 )
 from cohtrade import families, inequalities
+from cohtrade.families import QUANTITIES
+
+STATES = {"ghz": ghz_state, "w": w_state, "two-term": two_term_state}
 
 
 def test_family_states_place_amplitudes_correctly():
@@ -34,18 +36,18 @@ def test_family_states_place_amplitudes_correctly():
     assert psi.amps[4] == pytest.approx(np.sin(1.2))
 
 
-def test_family_point_validates_domains():
-    assert family_point("ghz", (0.5,)).family == "ghz"
+def test_family_sweep_validates_domains():
+    assert family_sweep("ghz", [(0.5,)]).family == "ghz"
     with pytest.raises(ValueError, match=r"^ghz parameter phi=7.0 outside \[0, 2pi\)$"):
-        family_point("ghz", (7.0,))
+        family_sweep("ghz", [(7.0,)])
     with pytest.raises(ValueError, match=r"^w parameter theta=3.5 outside \[0, pi\)$"):
-        family_point("w", (3.5, 0.1))
+        family_sweep("w", [(3.5, 0.1)])
     with pytest.raises(ValueError, match=r"^w parameter phi=nan outside \[0, 2pi\)$"):
-        family_point("w", (0.5, float("nan")))
+        family_sweep("w", [(0.5, float("nan"))])
     with pytest.raises(ValueError, match=r"^two-term parameter alpha=-0.1 outside \[0, 2pi\)$"):
-        family_point("two-term", (-0.1,))
+        family_sweep("two-term", [(-0.1,)])
     with pytest.raises(ValueError, match="unknown family 'bell'"):
-        family_point("bell", (0.1,))
+        family_sweep("bell", [(0.1,)])
 
 
 @pytest.mark.parametrize(
@@ -57,7 +59,7 @@ def test_family_point_validates_domains():
     ],
 )
 def test_parameter_count_is_checked_with_the_names(family, params, message):
-    for function in (family_point, closed_forms):
+    for function in (lambda f, p: family_sweep(f, [p]), closed_forms):
         with pytest.raises(ValueError) as exc:
             function(family, params)
         assert str(exc.value) == message
@@ -76,40 +78,34 @@ def test_default_grid_shapes():
 
 
 def test_ghz_sweep_matches_closed_forms():
-    records = family_sweep("ghz", default_grid("ghz", 64))
-    assert len(records) == 64
-    for rec in records:
-        for q in ("c123", "c12", "c13", "c23", "tau"):
-            assert abs(rec.numeric[q] - rec.closed[q]) < 1e-10
-        for r in rec.results:
-            if proved((2, 2, 2), pure=True)[r.name]:
-                assert r.holds
+    sweep = family_sweep("ghz", default_grid("ghz", 64))
+    assert len(sweep) == 64
+    assert (abs(sweep.numeric - sweep.closed) < 1e-10).all()
+    for name, holds in zip(sweep.names, sweep.holds):
+        if proved((2, 2, 2), pure=True)[name]:
+            assert holds.all()
 
 
 def test_w_sweep_matches_closed_forms():
-    records = family_sweep("w", default_grid("w", 8))
-    for rec in records:
-        for q in ("c123", "c12", "c13", "c23", "tau"):
-            assert abs(rec.numeric[q] - rec.closed[q]) < 1e-10
-        assert rec.numeric["tau"] < 1e-10
-        thm3 = next(r for r in rec.results if r.name == "thm3")
-        assert thm3.holds
+    sweep = family_sweep("w", default_grid("w", 8))
+    assert (abs(sweep.numeric - sweep.closed) < 1e-10).all()
+    assert (sweep.numeric[QUANTITIES.index("tau")] < 1e-10).all()
+    assert sweep.holds[sweep.names.index("thm3")].all()
 
 
 def test_two_term_sweep_has_theorem1_equality_everywhere():
-    records = family_sweep("two-term", default_grid("two-term", 17))
-    for rec in records:
-        thm1 = next(r for r in rec.results if r.name == "thm1")
-        assert abs(thm1.slack) < 1e-10
+    sweep = family_sweep("two-term", default_grid("two-term", 17))
+    assert (abs(sweep.slack[sweep.names.index("thm1")]) < 1e-10).all()
 
 
 def test_two_term_family_refutes_additive_conjecture():
     alphas = np.linspace(0.05, np.pi / 2 - 0.05, 15)
     for alpha in alphas:
-        records = family_sweep("two-term", [(float(alpha),)])
-        eq4 = next(r for r in records[0].results if r.name == "eq4-pivot1")
-        assert not eq4.holds
-        assert eq4.lhs / eq4.rhs == pytest.approx(0.5, abs=1e-12)
+        sweep = family_sweep("two-term", [(float(alpha),)])
+        k = sweep.names.index("eq4-pivot1")
+        assert not sweep.holds[k, 0]
+        lhs = sweep.numeric[QUANTITIES.index("c123"), 0]
+        assert lhs / (lhs - sweep.slack[k, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_closed_forms_reject_unknown_family():
@@ -117,34 +113,37 @@ def test_closed_forms_reject_unknown_family():
         closed_forms("bell", (0.1,))
 
 
-def assert_record_matches_primitives(rec, tolerance=1e-9):
-    psi = rec.point.state
+def assert_point_matches_primitives(sweep, i, tolerance=1e-9):
+    params = sweep.params[i]
+    psi = STATES[sweep.family](*params)
     rho = density_from_pure(psi)
-    assert rec.numeric == {
+    numeric = dict(zip(QUANTITIES, sweep.numeric[:, i].tolist()))
+    assert numeric == {
         "c123": l1_coherence(rho),
         "c12": subset_coherence(rho, (1, 2)),
         "c13": subset_coherence(rho, (1, 3)),
         "c23": subset_coherence(rho, (2, 3)),
         "tau": three_tangle(psi),
     }
-    assert all(type(v) is float for v in rec.numeric.values())
-    assert rec.closed == closed_forms(rec.point.family, rec.point.params)
+    assert all(type(v) is float for v in numeric.values())
+    assert dict(zip(QUANTITIES, sweep.closed[:, i].tolist())) == closed_forms(sweep.family, params)
     lhs = l1_coherence(rho)
     expected = [
-        (name, lhs, rhs, lhs - rhs, lhs - rhs >= -tolerance, tolerance)
+        (name, lhs - rhs, lhs - rhs >= -tolerance, tolerance)
         for name, rhs in paper_rhs(rho, psi).items()
     ]
-    got = [(r.name, r.lhs, r.rhs, r.slack, r.holds, r.tolerance) for r in rec.results]
+    columns = zip(sweep.names, sweep.slack[:, i].tolist(), sweep.holds[:, i].tolist())
+    got = [(name, slack, holds, sweep.tolerance) for name, slack, holds in columns]
     assert got == expected
 
 
 @pytest.mark.parametrize("family, points", [("ghz", 16), ("w", 5), ("two-term", 9)])
 def test_sweep_equals_per_state_primitives(family, points):
     grid = default_grid(family, points)
-    records = family_sweep(family, grid)
-    assert [rec.point.params for rec in records] == [tuple(map(float, p)) for p in grid]
-    for rec in records:
-        assert_record_matches_primitives(rec)
+    sweep = family_sweep(family, grid)
+    assert sweep.params == [tuple(map(float, p)) for p in grid]
+    for i in range(len(sweep)):
+        assert_point_matches_primitives(sweep, i)
 
 
 def test_sweep_across_chunks(monkeypatch):
@@ -161,12 +160,15 @@ def test_sweep_across_chunks(monkeypatch):
     monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 5 * 64)
     chunked = family_sweep("w", grid, 1e-7)
     assert calls == [5] * 7 + [1]
-    assert [rec.point.params for rec in chunked] == [rec.point.params for rec in whole]
-    for a, b in zip(whole, chunked):
-        assert a.numeric == b.numeric
-        assert a.results == b.results
-        assert_record_matches_primitives(b, 1e-7)
+    assert chunked.params == whole.params
+    for field in ("closed", "numeric", "slack", "holds"):
+        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+    for i in range(len(chunked)):
+        assert_point_matches_primitives(chunked, i, 1e-7)
 
 
 def test_sweep_of_empty_grid():
-    assert family_sweep("ghz", []) == []
+    sweep = family_sweep("ghz", [])
+    assert sweep.params == []
+    assert sweep.closed.shape == sweep.numeric.shape == (5, 0)
+    assert sweep.slack.shape == sweep.holds.shape == (len(sweep.names), 0)

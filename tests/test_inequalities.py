@@ -13,7 +13,7 @@ from cohtrade import (
     InvalidStateError,
     LocalDims,
     PureState,
-    SweepRecord,
+    Sweep,
     TrialReport,
     bounds,
     density_from_pure,
@@ -44,7 +44,6 @@ from cohtrade import (
     write_results_csv,
     write_state_file,
 )
-from cohtrade.inequalities import stack_results
 from cohtrade.states import sample_haar_stack
 from conftest import kron, paper_rhs, proved, read_results_csv
 
@@ -511,11 +510,6 @@ def test_suite_stack_reads_an_unbatched_matrix_as_amplitude_rows():
     assert str(exc.value) == _constructor_message(THREE, _GHZ[0])
 
 
-def _stack_results(tolerance):
-    coherence, _, rhs = suite_stack(THREE, ghz_state(0.3).amps[None])
-    return stack_results(suite_names(THREE, True), coherence, rhs, tolerance)
-
-
 _PSI = ghz_state(0.3)
 _RHO = density_from_pure(_PSI)
 TOLERANCE_ENTRY_POINTS = {
@@ -528,7 +522,6 @@ TOLERANCE_ENTRY_POINTS = {
     "verify_theorem3": lambda t: verify_theorem3(_PSI, t),
     "verify_eq10": lambda t: verify_eq10(_PSI, t),
     "run_suite": lambda t: run_suite(_PSI, t),
-    "stack_results": _stack_results,
     "family_sweep": lambda t: family_sweep("ghz", [(0.3,)], t),
     # an empty grid builds no result, and is checked all the same
     "family_sweep-empty": lambda t: family_sweep("ghz", [], t),
@@ -551,11 +544,9 @@ def test_every_tolerance_entry_point_rejects_bad_tolerance(entry, tolerance):
 
 
 def _records(out):
-    """Every result and report in an entry point's output."""
-    if isinstance(out, (InequalityResult, TrialReport)):
+    """Every result, report and sweep in an entry point's output."""
+    if isinstance(out, (InequalityResult, TrialReport, Sweep)):
         yield out
-    elif isinstance(out, SweepRecord):
-        yield from out.results
     else:
         for item in out:
             yield from _records(item)
