@@ -36,7 +36,7 @@ def test_family_states_place_amplitudes_correctly():
     assert psi.amps[4] == pytest.approx(np.sin(1.2))
 
 
-def test_family_sweep_validates_domains():
+def test_family_point_validates_domains():
     assert family_sweep("ghz", [(0.5,)]).family == "ghz"
     with pytest.raises(ValueError, match=r"^ghz parameter phi=7.0 outside \[0, 2pi\)$"):
         family_sweep("ghz", [(7.0,)])

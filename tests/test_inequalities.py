@@ -16,6 +16,7 @@ from cohtrade import (
     Sweep,
     TrialReport,
     bounds,
+    default_grid,
     density_from_pure,
     ensemble_reports,
     family_sweep,
@@ -523,6 +524,8 @@ TOLERANCE_ENTRY_POINTS = {
     "verify_eq10": lambda t: verify_eq10(_PSI, t),
     "run_suite": lambda t: run_suite(_PSI, t),
     "family_sweep": lambda t: family_sweep("ghz", [(0.3,)], t),
+    # the results of a stack that spans two chunks of suite_stack
+    "stack_results": lambda t: family_sweep("ghz", default_grid("ghz", 1025), t),
     # an empty grid builds no result, and is checked all the same
     "family_sweep-empty": lambda t: family_sweep("ghz", [], t),
     # no trials: the tolerance is checked before any work
