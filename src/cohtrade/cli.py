@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from .ensemble import TrialReport, ensemble_reports
 from .families import FAMILIES, FAMILY_PARAMETERS, QUANTITIES, default_grid, family_sweep
 from .inequalities import (
     InequalityResult,
-    _csv_field,
     bounds,
     check_tolerance,
     chunk_states,
@@ -24,7 +24,7 @@ from .inequalities import (
 from .search import DEFAULT_ITERATIONS, DEFAULT_ROUNDS, minimize_slack
 from .states import InvalidStateError, LocalDims, PureState, check_seed, sample_haar_stack
 from .stateio import read_state_file
-from .tangle import ckw_tangle_oracle, three_tangle
+from .tangle import ckw_tangle_oracle_stack, three_tangle_stack
 
 #: Header of ``sample --csv``: ``AGG``, then the fields of each bound's :class:`TrialReport`.
 AGG_CSV_HEADER = ",".join(("AGG", *(f.name for f in fields(TrialReport))))
@@ -77,15 +77,14 @@ def _cmd_sweep(args) -> int:
             + [col for q in QUANTITIES for col in (f"{q}_closed", q)]
             + [col for v in sweep.names for col in (f"{v}:slack", f"{v}:holds")]
         )
+        pairs = np.stack((sweep.closed, sweep.numeric), axis=1).reshape(-1, len(sweep))
+        cells = [[f"{x:.17g}" for x in col] for col in (*zip(*sweep.params), *pairs.tolist())]
+        for slack, holds in zip(sweep.slack.tolist(), sweep.holds.tolist()):
+            cells += [[f"{x:.17g}" for x in slack], ["true" if h else "false" for h in holds]]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for i, params in enumerate(sweep.params):
-                row = [args.family, i, *params]
-                for pair in zip(sweep.closed[:, i].tolist(), sweep.numeric[:, i].tolist()):
-                    row += pair
-                for pair in zip(sweep.slack[:, i].tolist(), sweep.holds[:, i].tolist()):
-                    row += pair
-                fh.write(",".join(map(_csv_field, row)) + "\n")
+            for i, row in enumerate(zip(*cells)):  # each column was formatted whole
+                fh.write(f"{args.family},{i},{','.join(row)}\n")
     return 0
 
 
@@ -144,11 +143,9 @@ def _cmd_oracle(args) -> int:
     min_dprime_slack = float("inf")
     for start in range(seed, stop, chunk):  # one stack of seeds per chunk
         stack = sample_haar_stack(dims, range(start, min(start + chunk, stop)))
-        for amps, half_dprime in zip(stack, thm1.residual(stack).tolist()):
-            psi = PureState._trusted(dims, amps)
-            tau = three_tangle(psi)
-            max_diff = max(max_diff, abs(tau - ckw_tangle_oracle(psi)))
-            min_dprime_slack = min(min_dprime_slack, half_dprime - tau)
+        tau = three_tangle_stack(stack)
+        max_diff = max(max_diff, np.abs(tau - ckw_tangle_oracle_stack(stack)).max().item())
+        min_dprime_slack = min(min_dprime_slack, (thm1.residual(stack) - tau).min().item())
     print(f"tangle oracle comparison over {args.trials} Haar states (base seed {args.seed})")
     print(f"  max |tau_formula - tau_monogamy|: {max_diff:.3e}")
     print(f"  min (D'/2 - tau):                 {min_dprime_slack:.3e}")
@@ -176,7 +173,13 @@ def _tolerance_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(message) from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; every ``cli_main`` call reuses it.
+
+    An import that runs no command pays nothing for it.  ``parse_args``
+    gives each call a fresh namespace, so callers must not mutate the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="cohtrade",
         description="Verify l1-coherence trade-off bounds on multipartite states.",

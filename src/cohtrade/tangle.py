@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, PureState, density_from_pure, partial_trace
-from .states import _require_three_qubits
+from .states import DensityOperator, LocalDims, PureState, SubsystemSet
+from .states import _reduce, _require_three_qubits
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
+_THREE_QUBITS = LocalDims((2, 2, 2))
+_KEEP_A, _KEEP_AB, _KEEP_AC = SubsystemSet((1,)), SubsystemSet((1, 2)), SubsystemSet((1, 3))
 
 
 def _tangle(amps) -> float:
@@ -34,6 +36,12 @@ def _tangle(amps) -> float:
     return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
+def _require_stack(stack: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    if stack.ndim != 1 + len(shape) or stack.shape[1:] != shape:
+        batch = ", ".join(("B", *map(str, shape)))
+        raise ValueError(f"({batch}) {what} stack required, got shape {stack.shape}")
+
+
 def three_tangle(psi: PureState) -> float:
     """Tangle tau of a pure three-qubit state (see :func:`_tangle`)."""
     _require_three_qubits(psi.dims)
@@ -42,35 +50,56 @@ def three_tangle(psi: PureState) -> float:
 
 def three_tangle_stack(amps: np.ndarray) -> np.ndarray:
     """:func:`three_tangle` of every row of a ``(B, 8)`` amplitude stack, row by row."""
-    if amps.ndim != 2 or amps.shape[1] != 8:
-        raise ValueError(f"(B, 8) three-qubit amplitude stack required, got shape {amps.shape}")
+    _require_stack(amps, (8,), "three-qubit amplitude")
     rows = amps.astype(np.complex128, copy=False).tolist()
     return np.array([_tangle(row) for row in rows], dtype=np.float64)
 
 
-def wootters_concurrence(rho: DensityOperator) -> float:
-    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) from the spin-flip spectrum.
+def concurrence_stack(rho: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max(0, l1 - l2 - l3 - l4) of every matrix of a ``(B, 4, 4)`` stack.
 
     The l_i are the descending square roots of the eigenvalues of
     rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  For any factorization
     rho = Psi Psi^dag those equal the singular values of the symmetric matrix
     Psi^T (sigma_y x sigma_y) Psi, which avoids the half-precision loss of a
-    general eigensolve near the zero eigenvalues of low-rank inputs.
+    general eigensolve near the zero eigenvalues of low-rank inputs.  One
+    batched ``eigh`` and one batched ``svd`` serve the stack; numpy's linalg
+    solves each matrix of a stack as it would alone.
     """
+    _require_stack(rho, (4, 4), "two-qubit density")
+    w, v = np.linalg.eigh(rho)
+    psi = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(psi.transpose(0, 2, 1) @ _SYSY @ psi, compute_uv=False)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def wootters_concurrence(rho: DensityOperator) -> float:
+    """Concurrence of a two-qubit state: the one-matrix case of :func:`concurrence_stack`."""
     if rho.dims.dims != (2, 2):
         raise ValueError(f"two-qubit state required, got dims {rho.dims.dims}")
-    w, v = np.linalg.eigh(rho.mat)
-    psi = v * np.sqrt(np.clip(w, 0.0, None))
-    lam = np.linalg.svd(psi.T @ _SYSY @ psi, compute_uv=False)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return concurrence_stack(rho.mat[None]).item()
+
+
+def ckw_tangle_oracle_stack(amps: np.ndarray) -> np.ndarray:
+    """Tangle via the monogamy identity, 4 det(rho_A) - C(rho_AB)^2 - C(rho_AC)^2, of each row.
+
+    ``amps`` is a ``(B, 8)`` amplitude stack; every row's projector is
+    reduced by one batched einsum per kept pair.  det(rho_A) is taken in
+    real arithmetic: a numpy complex-array product may round differently
+    from the complex-scalar one.
+    """
+    _require_stack(amps, (8,), "three-qubit amplitude")
+    amps = amps.astype(np.complex128, copy=False)
+    rho = (amps[:, :, None] * amps.conj()[:, None, :]).reshape((-1,) + _THREE_QUBITS.dims * 2)
+    rho_a = _reduce(_THREE_QUBITS, rho, _KEEP_A)
+    p, q, r, s = rho_a[:, 0, 0], rho_a[:, 1, 1], rho_a[:, 0, 1], rho_a[:, 1, 0]
+    det_a = (p.real * q.real - p.imag * q.imag) - (r.real * s.real - r.imag * s.imag)
+    c_ab = concurrence_stack(_reduce(_THREE_QUBITS, rho, _KEEP_AB))
+    c_ac = concurrence_stack(_reduce(_THREE_QUBITS, rho, _KEEP_AC))
+    return np.maximum(0.0, 4.0 * det_a - c_ab * c_ab - c_ac * c_ac)
 
 
 def ckw_tangle_oracle(psi: PureState) -> float:
-    """Tangle via the monogamy identity: 4 det(rho_A) - C(rho_AB)^2 - C(rho_AC)^2."""
+    """Monogamy tangle of one pure three-qubit state: a one-row :func:`ckw_tangle_oracle_stack`."""
     _require_three_qubits(psi.dims)
-    rho = density_from_pure(psi)
-    rho_a = partial_trace(rho, (1,)).mat
-    det_a = (rho_a[0, 0] * rho_a[1, 1] - rho_a[0, 1] * rho_a[1, 0]).real
-    c_ab = wootters_concurrence(partial_trace(rho, (1, 2)))
-    c_ac = wootters_concurrence(partial_trace(rho, (1, 3)))
-    return max(0.0, 4.0 * det_a - c_ab**2 - c_ac**2)
+    return ckw_tangle_oracle_stack(psi.amps[None]).item()

@@ -14,6 +14,7 @@ from cohtrade import (
     bounds,
     density_from_pure,
     l1_coherence,
+    partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
     subset_coherence,
@@ -42,6 +43,36 @@ def complex_normals(rng: np.random.Generator, size) -> np.ndarray:
     u1 = rng.random(size)
     u2 = rng.random(size)
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+
+
+#: sigma_y x sigma_y, whose entries are 0 and +-1, as a real matrix.
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SYSY = np.kron(SIGMA_Y, SIGMA_Y).real
+
+
+def reference_concurrence(rho: DensityOperator) -> float:
+    """Two-qubit concurrence of one state, by one ``eigh`` and one ``svd``.
+
+    The per-state reference of ``tangle.concurrence_stack``: the l_i are the
+    singular values of Psi^T (sigma_y x sigma_y) Psi for rho = Psi Psi^dag.
+    """
+    w, v = np.linalg.eigh(rho.mat)
+    psi = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(psi.T @ SYSY @ psi, compute_uv=False)
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def reference_ckw_tangle(psi: PureState) -> float:
+    """Tangle via the monogamy identity 4 det(rho_A) - C(rho_AB)^2 - C(rho_AC)^2, per state.
+
+    The per-state reference of ``tangle.ckw_tangle_oracle_stack``.
+    """
+    rho = density_from_pure(psi)
+    rho_a = partial_trace(rho, (1,)).mat
+    det_a = (rho_a[0, 0] * rho_a[1, 1] - rho_a[0, 1] * rho_a[1, 0]).real
+    c_ab = reference_concurrence(partial_trace(rho, (1, 2)))
+    c_ac = reference_concurrence(partial_trace(rho, (1, 3)))
+    return max(0.0, 4.0 * det_a - c_ab**2 - c_ac**2)
 
 
 def table_bound(name, dims=(2, 2, 2), pure=False):

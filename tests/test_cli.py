@@ -497,3 +497,43 @@ def test_help_and_missing_subcommand():
     assert cli_main(["--help"]) == 0
     assert cli_main([]) == 2
     assert cli_main(["bogus"]) == 2
+
+
+#: One process's mixed sequence of ``cli_main`` calls; ``{dir}`` holds ghz.json and o.csv.
+REUSE_SEQUENCE = [
+    ["verify", "{dir}/ghz.json", "--tolerance", "0", "--csv", "{dir}/o.csv"],
+    ["verify", "{dir}/ghz.json", "--csv", "{dir}/o.csv"],
+    ["sample", "--dims", "2,2,2", "--trials", "3",
+     "--mixed", "--rank", "2", "--csv", "{dir}/o.csv"],
+    ["sample", "--dims", "2,2,2", "--trials", "3", "--csv", "{dir}/o.csv"],
+    ["search", "--objective", "cor1-m2", "--dims", "2,2,2,2", "--restarts", "1", "--rounds", "1"],
+    ["search", "--objective", "cor1-m2", "--restarts", "1", "--rounds", "1"],
+    ["sample", "--dims", "2,x", "--trials", "3"],
+    ["--help"],
+    ["oracle", "--trials", "3"],
+]
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(tmp_path, capsysbinary):
+    # each call of the sequence, run on the process's one parser, must give
+    # the exit code, stdout, stderr and CSV that it gives as a parser's first call
+    assert cli.build_parser() is cli.build_parser()
+    write_state_file(tmp_path / "ghz.json", ghz_state(np.pi / 4))
+
+    def call(argv):
+        csv = tmp_path / "o.csv"
+        csv.unlink(missing_ok=True)
+        rc = cli_main([arg.format(dir=tmp_path) for arg in argv])
+        captured = capsysbinary.readouterr()
+        return rc, captured.out, captured.err, csv.read_bytes() if csv.exists() else None
+
+    first = []
+    for argv in REUSE_SEQUENCE:
+        cli.build_parser.cache_clear()
+        first.append(call(argv))
+    assert [result[0] for result in first[-3:]] == [2, 0, 0]
+    assert all(first[i] != first[i + 1] for i in (0, 2, 4))  # so a leaked option would show
+    parser = cli.build_parser()
+    for argv, expected in zip(REUSE_SEQUENCE, first):
+        assert call(argv) == expected, argv
+    assert cli.build_parser() is parser

@@ -43,11 +43,14 @@ COMMANDS = {
     "search-thm1": ["search", "--objective", "thm1", "--restarts", "2"],
     "search-thm3": ["search", "--objective", "thm3", "--restarts", "2", "--seed", "3"],
     "oracle": ["oracle", "--trials", "16"],
+    # three stacked chunks of 1024 states, the last one partial
+    "oracle-2100": ["oracle", "--trials", "2100", "--seed", "3"],
 }
 
 #: (exit code, stdout, stderr, CSV or None), each a sha256 to 16 hex digits.
 DIGESTS = {
     "oracle": (0, "0fe71a8ac90df95f", "e3b0c44298fc1c14", None),
+    "oracle-2100": (0, "72fb3315cad7b685", "e3b0c44298fc1c14", None),
     "sample-q3-mixed": (0, "983d9c416550e16f", "e3b0c44298fc1c14", "edb3cffdea518186"),
     "sample-q3-pure": (0, "faae1c502209adc6", "e3b0c44298fc1c14", "5fa23bcd274855f4"),
     "sample-q5-mixed": (0, "f99c457dd6dc6566", "e3b0c44298fc1c14", "e1f074e3c97b7d72"),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from cohtrade import (
     wootters_concurrence,
 )
 from cohtrade.states import sample_haar_stack
-from cohtrade.tangle import _SYSY, three_tangle_stack
-from conftest import table_bound
+from cohtrade.tangle import _SYSY, ckw_tangle_oracle_stack, concurrence_stack, three_tangle_stack
+from conftest import reference_ckw_tangle, reference_concurrence, table_bound
 
 EPS = 1e-9
 THREE_QUBITS = LocalDims((2, 2, 2))
@@ -156,6 +157,48 @@ def test_tangle_formula_matches_ckw_oracle(haar_three_qubit):
     assert worst < 1e-8
 
 
+#: How far the stacked oracle may sit from the per-state reference, which
+#: squares each concurrence with Python's ``**`` (libm's pow) where the stack
+#: takes x * x: each square may differ by an ulp of a number below 1.
+ORACLE_ATOL = 4.4e-16
+
+
+def test_stacked_oracle_matches_per_state_reference():
+    amps = sample_haar_stack(THREE_QUBITS, range(4096))
+    reference = [reference_ckw_tangle(PureState(THREE_QUBITS, row)) for row in amps]
+    stacked = ckw_tangle_oracle_stack(amps)
+    assert stacked.shape == (4096,) and stacked.dtype == np.float64
+    assert np.abs(stacked - reference).max() <= ORACLE_ATOL
+    # the one-state oracle is a one-row stack, bit for bit
+    for row, value in zip(amps[:64], stacked[:64].tolist()):
+        assert ckw_tangle_oracle(PureState(THREE_QUBITS, row)) == value
+
+
+def test_stacked_concurrence_matches_per_state_reference():
+    rhos = [sample_ginibre_mixed((2, 2), 1 + seed % 4, 500 + seed) for seed in range(400)]
+    stacked = concurrence_stack(np.array([rho.mat for rho in rhos]))
+    reference = [reference_concurrence(rho) for rho in rhos]
+    assert np.abs(stacked - reference).max() <= ORACLE_ATOL
+    assert [wootters_concurrence(rho) for rho in rhos] == stacked.tolist()
+
+
+def test_stacked_oracle_on_ghz_w_and_basis_states():
+    basis = np.zeros(8)
+    basis[5] = 1.0
+    amps = np.array([ghz_state(np.pi / 4).amps, w_state(np.pi / 2, np.pi / 4).amps, basis])
+    assert ckw_tangle_oracle_stack(amps) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "stacked,shape",
+    [(ckw_tangle_oracle_stack, shape) for shape in ((8,), (3, 4), (2, 8, 1), (0,))]
+    + [(concurrence_stack, shape) for shape in ((4, 4), (2, 4, 3), (1, 8, 8))],
+)
+def test_stacked_oracle_rejects_other_shapes(stacked, shape):
+    with pytest.raises(ValueError, match=re.escape(f"stack required, got shape {shape}")):
+        stacked(np.zeros(shape, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # D'/2: the thm1 residual of a pure state
 # ---------------------------------------------------------------------------
@@ -218,8 +261,9 @@ def test_stacked_tangle_bits_are_pinned():
 
 
 def test_stacked_tangle_of_empty_stack():
-    tau = three_tangle_stack(np.zeros((0, 8), dtype=complex))
-    assert tau.shape == (0,) and tau.dtype == np.float64
+    for stacked in (three_tangle_stack, ckw_tangle_oracle_stack):
+        tau = stacked(np.zeros((0, 8), dtype=complex))
+        assert tau.shape == (0,) and tau.dtype == np.float64
 
 
 def test_stacked_tangle_takes_real_rows_and_views():
