@@ -22,15 +22,15 @@ def l1_coherence(rho: DensityOperator) -> float:
 
 
 def l1_coherence_stack(mats: np.ndarray) -> np.ndarray:
-    """:func:`l1_coherence` of every matrix of a ``(B, d, d)`` stack.
+    """:func:`l1_coherence` of every matrix of a ``(..., d, d)`` stack, shaped ``(...)``.
 
     Each matrix is summed in the order of a lone C-contiguous one, so the
     results are bit-identical to the per-state ones.
     """
-    b, d, _ = mats.shape
-    off = np.abs(np.ascontiguousarray(mats).reshape(b, d * d))
-    off[:, :: d + 1] = 0.0
-    return np.add.reduce(off, axis=1)
+    d = mats.shape[-1]
+    off = np.abs(np.ascontiguousarray(mats).reshape(mats.shape[:-2] + (d * d,)))
+    off[..., :: d + 1] = 0.0
+    return np.add.reduce(off, axis=-1)
 
 
 def subset_coherence(rho: DensityOperator, parties: "SubsystemSet | Iterable[int]") -> float:
@@ -132,10 +132,7 @@ def _amplitude_coherence_stack(
             p_dag = p.conj().swapaxes(2, 3)
             for members, left, right in ((first, p, p_dag), (second, p_dag, p)):
                 if members:
-                    gram = left @ right
-                    k = gram.shape[-1]
-                    l1 = l1_coherence_stack(gram.reshape(-1, k, k))
-                    out[members, block] = l1.reshape(len(p), -1).T
+                    out[members, block] = l1_coherence_stack(left @ right).T
     if rows is None or len(out) - 1 in rows:
         modulus = np.abs(amps)
         out[-1] = modulus.sum(axis=1) ** 2 - np.vecdot(modulus, modulus)
@@ -148,28 +145,33 @@ def coherence_stack(dims: LocalDims, states: np.ndarray) -> np.ndarray:
     ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``.
     Row i is subset ``stack_subsets(n)[i]``, the last row the full coherence.
     """
-    return np.asarray(_coherence_rows(dims, states, None))
+    return _coherence_rows(dims, states, None)
 
 
-def _coherence_rows(dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None"):
-    """:func:`coherence_stack`'s ``rows`` (all if None), in that order, each ``(B,)``.
+@lru_cache(maxsize=None)
+def _row_keeps(n: int, rows: "tuple[int, ...] | None") -> tuple[tuple[int, ...], ...]:
+    """The parties of each of :func:`coherence_stack`'s ``rows`` (all if None), in that order."""
+    subsets = stack_subsets(n)
+    return tuple(subsets[r].parties for r in (range(len(subsets)) if rows is None else rows))
+
+
+def _coherence_rows(
+    dims: LocalDims, states: np.ndarray, rows: "tuple[int, ...] | None"
+) -> np.ndarray:
+    """:func:`coherence_stack`'s ``rows`` (all if None), in that order: ``(len(rows), B)``.
 
     Only here is a route picked: pure rows with ``D >= AMPLITUDE_MIN_DIM`` are
-    reduced from their amplitudes, to roundoff of the density route, and come
-    back as one array; every other state from its density matrix (a pure row
-    from its projector), bit for bit as :func:`subset_coherence` on that
-    matrix alone, as a list of rows.  A state's rows depend neither on the
-    rest of the stack nor on ``rows``.  One-row callers read each row with
-    ``.item()``, which costs less than stacking the list first.
+    reduced from their amplitudes, to roundoff of the density route; every
+    other state from its density matrix (a pure row from its projector) by
+    ``states._reduce``, bit for bit as :func:`subset_coherence` on that
+    matrix alone.  Each block of states and batch of subsets that it
+    gathers together takes one ``abs`` and one l1 sum.  A state's rows
+    depend neither on the rest of the stack nor on ``rows``.
     """
-    if states.ndim == 2:
-        if dims.total_dim >= AMPLITUDE_MIN_DIM:
-            return _amplitude_coherence_stack(dims, states, rows)
-        states = states[:, :, None] * states.conj()[:, None, :]
-    subsets = stack_subsets(dims.n_parties)
-    full = len(subsets) - 1  # the full set needs no reduction
-    tensor = states.reshape((len(states),) + dims.dims * 2)
-    return [
-        l1_coherence_stack(states if r == full else _reduce(dims, tensor, subsets[r]))
-        for r in (range(len(subsets)) if rows is None else rows)
-    ]
+    if states.ndim == 2 and dims.total_dim >= AMPLITUDE_MIN_DIM:
+        return _amplitude_coherence_stack(dims, states, rows)
+    keeps = _row_keeps(dims.n_parties, rows)
+    out = np.empty((len(keeps), len(states)))
+    for members, block, reduced in _reduce(dims, states, keeps):
+        out[members, block] = l1_coherence_stack(reduced).T
+    return out

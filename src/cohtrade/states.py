@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -262,25 +262,102 @@ def density_from_pure(psi: PureState) -> DensityOperator:
     return DensityOperator._trusted(psi.dims, np.outer(psi.amps, psi.amps.conj()))
 
 
+#: Complex entries that one block of :func:`_reduce` may gather (512 KiB): a
+#: batch of keeps holds at most this many entries per state, and a block of
+#: states at most this many in all, unless one keep or one state exceeds it.
+GATHER_ENTRIES = 1 << 15
+
+#: Gather index entries of the full coherence table at which the reduction
+#: plans of those dims stop caching their indices (4 MiB of intp), which
+#: keeps them up to seven qubits.  From there on a plan keeps each batch's
+#: index as its factored offsets, O(3^n) in all, and builds it per block.
+INDEX_ENTRIES = 1 << 19
+
+
 @lru_cache(maxsize=None)  # on the tuples: hashing the dataclasses would cost every evaluation
-def _reduction_plan(dims: tuple[int, ...], keep: tuple[int, ...]):
-    """The einsum keeping ``keep`` at ``dims``, batched: (subscripts, out, kept dims, total)."""
-    n = len(dims)
-    kept = [p - 1 for p in keep]
-    subscripts = (Ellipsis, *range(n), *(n + i if i in kept else i for i in range(n)))
-    out = (Ellipsis, *kept, *(n + i for i in kept))
-    kept_dims = LocalDims(tuple(dims[i] for i in kept))
-    return subscripts, out, kept_dims, kept_dims.total_dim
+def _reduction_plan(dims: tuple[int, ...], keeps: tuple[tuple[int, ...], ...]) -> tuple:
+    """How :func:`_reduce` reduces a matrix at ``dims`` to each party tuple of ``keeps``.
 
-
-def _reduce(dims: LocalDims, tensor: np.ndarray, keep: SubsystemSet) -> np.ndarray:
-    """Reduce a ``batch + dims.dims * 2`` tensor to ``keep``: C-contiguous, ``batch + (d, d)``.
-
-    The batch may be empty; each matrix reduces as it would alone (same sums, same order).
+    Returns ``(width, batches)``.  Keeps of one kept dimension k and traced
+    dimension T share a gather, at most ``GATHER_ENTRIES // (T k^2)`` per
+    batch; ``width`` is the most entries a batch gathers per state.  A batch
+    is ``(members, k, index)``: its positions in ``keeps``, and the
+    ``(T, G k^2)`` flat positions of its G matrices' entries
+    ``rho[(i, t), (j, t)]``, row t for traced label t in C order.  ``index``
+    is None for the full set, which needs no reduction, and the
+    ``(row, column, diagonal)`` offsets whose sum it is when the full
+    table's indices at ``dims`` exceed ``INDEX_ENTRIES``.
     """
-    subscripts, out, _, d = _reduction_plan(dims.dims, keep.parties)
-    reduced = np.einsum(tensor, subscripts, out)  # out: the batch, then 2 axes per kept party
-    return np.ascontiguousarray(reduced.reshape(reduced.shape[: 1 - len(out)] + (d, d)))
+    n, total = len(dims), math.prod(dims)
+    flat = np.arange(total).reshape(dims)
+    shapes: dict[tuple[int, int], list] = {}
+    for position, keep in enumerate(keeps):
+        kept = flat[tuple(slice(None) if p in keep else 0 for p in range(1, n + 1))].ravel()
+        traced = flat[tuple(0 if p in keep else slice(None) for p in range(1, n + 1))].ravel()
+        shapes.setdefault((len(traced), len(kept)), []).append((position, kept, traced))
+    # each proper subset S gathers D d_S entries, and the sum of d_S is prod(d + 1) - 1 - D
+    cached = total * (math.prod(d + 1 for d in dims) - 1 - total) <= INDEX_ENTRIES
+    width, batches = 1, []
+    for (t, k), members in shapes.items():
+        size = max(1, GATHER_ENTRIES // (t * k * k))
+        for start in range(0, len(members), size):
+            positions, kept, traced = zip(*members[start : start + size])
+            index = None
+            if t > 1:
+                width = max(width, t * k * k * len(positions))
+                kept = np.stack(kept)
+                # rho[(i, t), (j, t)] sits at (kept[i] + traced[t]) * D + kept[j] + traced[t]
+                index = (
+                    kept[:, :, None] * total,
+                    kept[:, None, :],
+                    np.stack(traced, axis=1)[:, :, None, None] * (total + 1),
+                )
+                if cached:
+                    index = _gather_index(*index)
+            batches.append((np.array(positions), k, index))
+    return width, tuple(batches)
+
+
+def _gather_index(row: np.ndarray, column: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """A batch's ``(T, G k^2)`` gather index from its :func:`_reduction_plan` offsets."""
+    return (row + column + diagonal).reshape(len(diagonal), -1)
+
+
+def _reduce(
+    dims: LocalDims, states: np.ndarray, keeps: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[np.ndarray, slice, np.ndarray]]:
+    """Reduce each state of a stack to each party tuple of ``keeps``, a block of states at a time.
+
+    ``states`` holds density matrices ``(B, D, D)`` or amplitude rows
+    ``(B, D)``, which are reduced from their projectors, each block's formed
+    in turn.  Yields ``(members, block, reduced)`` per block of states and
+    batch of :func:`_reduction_plan`: ``reduced[:, g]`` is the C-contiguous
+    ``(len(block), k, k)`` stack reduced to ``keeps[members[g]]``.  Entry
+    ``[i, j]`` is the left fold of ``rho[(i, t), (j, t)]`` over the traced
+    labels t in C order, party 1 most significant: one gather and one
+    ordered fold per block and batch, so each state reduces as it would
+    alone, by the sums and in the order of a loop over its entries.
+    """
+    width, batches = _reduction_plan(dims.dims, keeps)
+    pure, d = states.ndim == 2, dims.total_dim
+    step = max(1, GATHER_ENTRIES // (max(width, d * d) if pure else width))
+    for start in range(0, len(states), step):
+        block = slice(start, start + step)
+        mats = states[block]
+        if pure:
+            mats = mats[:, :, None] * mats.conj()[:, None, :]
+        b = len(mats)
+        flat = mats.reshape(b, d * d)
+        for members, k, index in batches:
+            if index is None:  # the full set: nothing to trace
+                yield members, block, mats[:, None]
+                continue
+            if isinstance(index, tuple):
+                index = _gather_index(*index)
+            reduced = np.empty((b, index.shape[1]), dtype=mats.dtype)
+            # out=: C-contiguous rows, whatever layout numpy would give a fresh result
+            np.add.reduce(flat.take(index, axis=1), axis=1, out=reduced)
+            yield members, block, reduced.reshape(b, len(members), k, k)
 
 
 def partial_trace(
@@ -288,9 +365,9 @@ def partial_trace(
 ) -> DensityOperator:
     """Trace out every party not in ``keep``; kept parties stay in ascending order."""
     keep = _as_subsystem(keep).check_against(rho.dims)
-    dims = rho.dims
-    reduced = _reduce(dims, rho.mat.reshape(dims.dims * 2), keep)
-    return DensityOperator._trusted(_reduction_plan(dims.dims, keep.parties)[2], reduced)
+    ((_, _, reduced),) = _reduce(rho.dims, rho.mat[None], (keep.parties,))
+    kept = LocalDims(tuple(rho.dims[p - 1] for p in keep))
+    return DensityOperator._trusted(kept, reduced[0, 0])
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, LocalDims, PureState, SubsystemSet
+from .states import DensityOperator, LocalDims, PureState
 from .states import _reduce, _require_three_qubits
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
 _THREE_QUBITS = LocalDims((2, 2, 2))
-_KEEP_A, _KEEP_AB, _KEEP_AC = SubsystemSet((1,)), SubsystemSet((1, 2)), SubsystemSet((1, 3))
+_KEEPS = ((1,), (1, 2), (1, 3))  # A alone in its shape; AB and AC share a gather
 
 
 def _tangle(amps) -> float:
@@ -83,19 +83,22 @@ def wootters_concurrence(rho: DensityOperator) -> float:
 def ckw_tangle_oracle_stack(amps: np.ndarray) -> np.ndarray:
     """Tangle via the monogamy identity, 4 det(rho_A) - C(rho_AB)^2 - C(rho_AC)^2, of each row.
 
-    ``amps`` is a ``(B, 8)`` amplitude stack; every row's projector is
-    reduced by one batched einsum per kept pair.  det(rho_A) is taken in
-    real arithmetic: a numpy complex-array product may round differently
-    from the complex-scalar one.
+    ``amps`` is a ``(B, 8)`` amplitude stack.  Every row's projector is
+    reduced by ``states._reduce``: one gather and fold for A, and one for
+    the pairs AB and AC, which share a shape and so one batched
+    :func:`concurrence_stack`.  det(rho_A) is taken in real arithmetic: a
+    numpy complex-array product may round differently from the
+    complex-scalar one.
     """
     _require_stack(amps, (8,), "three-qubit amplitude")
-    amps = amps.astype(np.complex128, copy=False)
-    rho = (amps[:, :, None] * amps.conj()[:, None, :]).reshape((-1,) + _THREE_QUBITS.dims * 2)
-    rho_a = _reduce(_THREE_QUBITS, rho, _KEEP_A)
-    p, q, r, s = rho_a[:, 0, 0], rho_a[:, 1, 1], rho_a[:, 0, 1], rho_a[:, 1, 0]
-    det_a = (p.real * q.real - p.imag * q.imag) - (r.real * s.real - r.imag * s.imag)
-    c_ab = concurrence_stack(_reduce(_THREE_QUBITS, rho, _KEEP_AB))
-    c_ac = concurrence_stack(_reduce(_THREE_QUBITS, rho, _KEEP_AC))
+    det_a, conc = np.empty(len(amps)), np.empty((len(amps), 2))
+    for _, block, reduced in _reduce(_THREE_QUBITS, amps.astype(np.complex128, copy=False), _KEEPS):
+        if reduced.shape[-1] == 2:  # rho_A
+            p, q, r, s = (reduced[:, 0, i, j] for i, j in ((0, 0), (1, 1), (0, 1), (1, 0)))
+            det_a[block] = (p.real * q.real - p.imag * q.imag) - (r.real * s.real - r.imag * s.imag)
+        else:  # rho_AB and rho_AC
+            conc[block] = concurrence_stack(reduced.reshape(-1, 4, 4)).reshape(-1, 2)
+    c_ab, c_ac = conc.T
     return np.maximum(0.0, 4.0 * det_a - c_ab * c_ab - c_ac * c_ac)
 
 

@@ -41,7 +41,7 @@ def stack_slacks(dims, amps):
 
 def test_route_starts_at_five_qubits():
     assert AMPLITUDE_MIN_DIM == 32
-    # sixteen amplitudes: the projector's einsums, bit for bit
+    # sixteen amplitudes: the projector's partial traces, bit for bit
     psi = sample_haar_pure((2, 2, 2, 2), 3)
     rows = suite_stack(psi.dims, psi.amps[None])[0][:, 0]
     density = coherence_stack(psi.dims, density_from_pure(psi).mat[None])[:, 0]

@@ -40,6 +40,14 @@ COMMANDS = {
     "sample-q5-mixed": [
         "sample", "--dims", "2,2,2,2,2", "--trials", "12", "--mixed", "--csv", "{dir}/out.csv",
     ],
+    # two stacked chunks of 113 and of 16 states
+    "sample-qudit-mixed": [
+        "sample", "--dims", "2,3,4", "--trials", "120", "--seed", "2", "--mixed", "--rank", "5",
+        "--csv", "{dir}/out.csv",
+    ],
+    "sample-q6-mixed": [
+        "sample", "--dims", "2,2,2,2,2,2", "--trials", "20", "--mixed", "--csv", "{dir}/out.csv",
+    ],
     "search-thm1": ["search", "--objective", "thm1", "--restarts", "2"],
     "search-thm3": ["search", "--objective", "thm3", "--restarts", "2", "--seed", "3"],
     "oracle": ["oracle", "--trials", "16"],
@@ -55,6 +63,8 @@ DIGESTS = {
     "sample-q3-pure": (0, "faae1c502209adc6", "e3b0c44298fc1c14", "5fa23bcd274855f4"),
     "sample-q5-mixed": (0, "f99c457dd6dc6566", "e3b0c44298fc1c14", "e1f074e3c97b7d72"),
     "sample-q5-pure": (0, "fd0f700a38d7158d", "e3b0c44298fc1c14", "c9c199658df9cb8d"),
+    "sample-q6-mixed": (0, "736b4476f043f354", "e3b0c44298fc1c14", "b163de84dce1d918"),
+    "sample-qudit-mixed": (0, "4dab8dcf48ca6857", "e3b0c44298fc1c14", "ea51539b2167076d"),
     "search-thm1": (0, "e0dc587a60e5331a", "e3b0c44298fc1c14", None),
     "search-thm3": (0, "ade24530399e8105", "e3b0c44298fc1c14", None),
     "sweep-ghz": (0, "9870a60b09366ad3", "e3b0c44298fc1c14", "0e52a972f7c26ac9"),

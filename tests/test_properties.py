@@ -128,11 +128,11 @@ def test_a_stack_reduces_each_matrix_as_alone(dims, seed, batch, data):
     full_rank = dims.total_dim
     mats = np.stack([sample_ginibre_mixed(dims, full_rank, seed + i).mat for i in range(batch)])
     parties = st.lists(st.integers(1, dims.n_parties), min_size=1, unique=True)
-    keep = SubsystemSet(tuple(sorted(data.draw(parties))))
-    stacked = _reduce(dims, mats.reshape((batch,) + dims.dims * 2), keep)
-    alone = [_reduce(dims, m.reshape(dims.dims * 2), keep) for m in mats]
-    assert stacked.flags.c_contiguous and stacked.shape == (batch, *alone[0].shape)
-    assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+    keeps = (tuple(sorted(data.draw(parties))),)
+    ((_, _, stacked),) = _reduce(dims, mats, keeps)  # one block and one batch
+    alone = [_reduce(dims, m[None], keeps) for m in mats]
+    assert stacked.flags.c_contiguous and stacked.shape[:2] == (batch, 1)
+    assert all(np.array_equal(s, a[0]) for s, ((_, _, a),) in zip(stacked, alone))
 
 
 def run_verify(payload, tolerance):

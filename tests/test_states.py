@@ -19,7 +19,10 @@ from cohtrade import (
     sample_ginibre_mixed,
     sample_haar_pure,
 )
-from cohtrade.states import sample_ginibre_stack, validate_stack
+from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, stack_subsets
+from cohtrade.inequalities import chunk_states
+from cohtrade.states import _reduce, _reduction_plan, sample_ginibre_stack, sample_haar_stack
+from cohtrade.states import validate_stack
 
 from conftest import complex_normals, kron, random_hermitian
 
@@ -52,12 +55,16 @@ def decode_index(index, dims):
 
 
 def ptrace_by_loops(mat, dims, keep):
-    """Partial trace by explicit index summation; independent of einsum."""
+    """Partial trace by explicit index summation; independent of the library's gather.
+
+    ``mat`` is one matrix or a stack of them (the loop runs over the last two
+    axes, so each matrix of a stack is summed as it would be alone).
+    """
     kept = [p - 1 for p in keep]
     traced = [i for i in range(len(dims)) if i not in kept]
     kept_dims = [dims[i] for i in kept]
     dk = math.prod(kept_dims)
-    out = np.zeros((dk, dk), dtype=complex)
+    out = np.zeros(mat.shape[:-2] + (dk, dk), dtype=complex)
     for row in range(math.prod(dims)):
         r = decode_index(row, dims)
         for col in range(math.prod(dims)):
@@ -65,7 +72,7 @@ def ptrace_by_loops(mat, dims, keep):
             if all(r[i] == c[i] for i in traced):
                 r_out = encode_index([r[i] for i in kept], kept_dims)
                 c_out = encode_index([c[i] for i in kept], kept_dims)
-                out[r_out, c_out] += mat[row, col]
+                out[..., r_out, c_out] += mat[..., row, col]
     return out
 
 
@@ -368,6 +375,70 @@ def test_partial_trace_rejects_invalid_subset():
         partial_trace(rho, (1, 3))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
+
+
+REDUCTION_DIMS = [(2, 2), (2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)]
+
+
+def reduction_stack(dims, kind, batch):
+    """``batch`` density matrices of one kind, and the stack that ``coherence_stack`` takes.
+
+    Haar projectors go to ``coherence_stack`` as their amplitude rows, which
+    it projects itself.
+    """
+    d = math.prod(dims)
+    if kind == "projector":
+        amps = sample_haar_stack(dims, range(40, 40 + batch))
+        return amps[:, :, None] * amps.conj()[:, None, :], amps
+    mats = sample_ginibre_stack(dims, 1 if kind == "rank 1" else d, range(50, 50 + batch))
+    return mats, mats
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7])
+@pytest.mark.parametrize("kind", ["rank 1", "full rank", "projector"])
+@pytest.mark.parametrize("dims", REDUCTION_DIMS)
+def test_every_reduction_is_the_loop_sum_bit_for_bit(dims, kind, batch):
+    mats, stack = reduction_stack(dims, kind, batch)
+    rows = coherence_stack(LocalDims(dims), stack)
+    for row, subset in enumerate(stack_subsets(len(dims))[:-1]):
+        loops = ptrace_by_loops(mats, dims, subset.parties)
+        assert np.array_equal(rows[row], l1_coherence_stack(loops)), subset.parties
+        for mat, loop in zip(mats, loops):
+            reduced = partial_trace(DensityOperator._trusted(LocalDims(dims), mat), subset)
+            assert np.array_equal(np.abs(reduced.mat), np.abs(loop)), subset.parties
+
+
+@pytest.mark.parametrize(
+    "dims,kind", [((2, 2, 2), "projector"), ((2, 2, 2), "full rank"), ((3, 3, 3), "rank 1")]
+)
+def test_a_full_chunk_reduces_to_the_loop_sums_in_blocks(dims, kind):
+    dims = LocalDims(dims)
+    chunk = chunk_states(dims, kind == "projector")
+    mats, stack = reduction_stack(dims.dims, kind, chunk)
+    keeps = _row_keeps(dims.n_parties, None)
+    blocks = {block.start: block.stop for _, block, _ in _reduce(dims, stack, keeps)}
+    assert len(blocks) > 1 and chunk % blocks[0] != 0  # a last, shorter block
+    rows = coherence_stack(dims, stack)
+    for row, subset in enumerate(stack_subsets(dims.n_parties)[:-1]):
+        loops = ptrace_by_loops(mats, dims.dims, subset.parties)
+        assert np.array_equal(rows[row], l1_coherence_stack(loops)), subset.parties
+
+
+def plan_entries(plan):
+    """Array entries that a :func:`_reduction_plan` result holds."""
+    width, batches = plan
+    arrays = [members for members, _, _ in batches]
+    for _, _, index in batches:
+        arrays += index if isinstance(index, tuple) else [] if index is None else [index]
+    return sum(a.size for a in arrays), sum(a.nbytes for a in arrays)
+
+
+def test_the_reduction_plan_holds_o3n_offsets():
+    # built uncached: the plan alone, with no state evaluated
+    _, nbytes = plan_entries(_reduction_plan.__wrapped__((2,) * 8, _row_keeps(8, None)))
+    assert nbytes < 4 * 2**20
+    entries, _ = plan_entries(_reduction_plan.__wrapped__((2,) * 12, _row_keeps(12, None)))
+    assert entries <= 3 * 3**12 + 2**12  # kept and traced offsets: 2 d_S + d_S^c per subset
 
 
 # ---------------------------------------------------------------------------
