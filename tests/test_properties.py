@@ -18,7 +18,6 @@ from cohtrade import (
     DensityOperator,
     LocalDims,
     PureState,
-    SubsystemSet,
     bounds,
     cli_main,
     density_from_pure,

@@ -19,7 +19,8 @@ from cohtrade import (
     sample_ginibre_mixed,
     sample_haar_pure,
 )
-from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, stack_subsets
+from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, stack_rows
+from cohtrade.coherence import stack_subsets
 from cohtrade.inequalities import chunk_states
 from cohtrade.states import _reduce, _reduction_plan, sample_ginibre_stack, sample_haar_stack
 from cohtrade.states import validate_stack
@@ -424,12 +425,28 @@ def test_a_full_chunk_reduces_to_the_loop_sums_in_blocks(dims, kind):
         assert np.array_equal(rows[row], l1_coherence_stack(loops)), subset.parties
 
 
+def test_eight_qubits_reduce_from_factored_offsets_to_the_loop_sums():
+    dims = LocalDims((2,) * 8)
+    mats, _ = reduction_stack(dims.dims, "rank 1", 1)
+    _, batches = _reduction_plan(dims.dims, _row_keeps(8, None))
+    assert all(isinstance(index, tuple) for _, _, index in batches if index is not None)
+    rows = coherence_stack(dims, mats)
+    for keep in [(1, 4), (2, 3, 5, 6, 7, 8)]:
+        loops = ptrace_by_loops(mats, dims.dims, keep)
+        assert np.array_equal(rows[stack_rows(8)[SubsystemSet(keep)]], l1_coherence_stack(loops))
+        reduced = partial_trace(DensityOperator._trusted(dims, mats[0]), keep)
+        assert np.array_equal(np.abs(reduced.mat), np.abs(loops[0]))
+
+
 def plan_entries(plan):
     """Array entries that a :func:`_reduction_plan` result holds."""
-    width, batches = plan
-    arrays = [members for members, _, _ in batches]
-    for _, _, index in batches:
-        arrays += index if isinstance(index, tuple) else [] if index is None else [index]
+    arrays = []
+    for members, _, index in plan[1]:
+        arrays.append(members)
+        if isinstance(index, tuple):  # factored offsets
+            arrays.extend(index)
+        elif index is not None:
+            arrays.append(index)
     return sum(a.size for a in arrays), sum(a.nbytes for a in arrays)
 
 
