@@ -1,11 +1,9 @@
 """Seeded random ensembles, evaluated on stacks of trials.
 
 :func:`ensemble_reports` samples trial t from seed ``seed + t``, exactly as
-``sample_haar_pure`` and ``sample_ginibre_mixed`` do, as one stack per
-chunk of at most ``CHUNK_ENTRIES`` entries, and evaluates every bound
-of :func:`inequalities.bounds` on the whole stack with
-:func:`inequalities.suite_stack`, the engine :func:`run_suite` runs on one
-state.
+``sample_haar_pure`` and ``sample_ginibre_mixed`` do, a chunk of at most
+``CHUNK_ENTRIES`` entries at a time, and checks and evaluates each chunk
+with :func:`inequalities.suite_stack`.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _coherence_rows, coherence_stack, gamma
 from .coherence import stack_rows
 from .states import DensityOperator, InvalidStateError, LocalDims, PureState, State, SubsystemSet
-from .states import EPS_NORM, _as_dims, _as_stack, _is_integer, validate_stack
+from .states import _as_dims, _as_stack, _is_integer, validate_rows, validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 #: Complex entries per stacked chunk (16 B each): callers of :func:`suite_stack`
@@ -116,7 +116,7 @@ class Bound:
         object.__setattr__(self, "proved", share <= self.divisor)
 
     def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
-        """This bound alone on ``state``, which is not validated.
+        """This bound alone on ``state``, which, as in :func:`run_suite`, is not checked again.
 
         A tangle bound adds ``three_tangle(state)``, so it takes pure
         three-qubit states only (``TypeError`` on a density operator).  Any
@@ -297,15 +297,13 @@ def suite_stack(
 ) -> tuple[np.ndarray, "np.ndarray | None", np.ndarray]:
     """Every bound of :func:`bounds` on a stack of states: coherence rows, tau and rhs.
 
-    ``states`` holds pure-state amplitude rows ``(B, D)`` or density matrices
-    ``(B, D, D)``; any other shape raises.  The states are checked as
-    :class:`PureState` and :func:`validate_stack` check them, whoever built the
-    stack: the first malformed state raises its own message.  (An unbatched
-    ``(D, D)`` matrix reads as D rows, which are never all unit vectors.)
+    ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``;
+    any other shape raises, and so does the first state that fails
+    :func:`validate_rows` or :func:`validate_stack`, whoever built the stack (an
+    unbatched ``(D, D)`` matrix reads as D rows, never all unit vectors).
     Returns the ``(2^n - 1, B)`` coherence rows in :func:`coherence_stack`'s
-    order, whose last row is every bound's lhs; tau ``(B,)`` for pure
-    three-qubit input, else None; and rhs ``(K, B)``, row k for bound k of
-    ``bounds(dims, pure)``.
+    order, the last one every bound's lhs; tau ``(B,)`` for pure three-qubit
+    input, else None; and rhs ``(K, B)``, row k for bound k of ``bounds(dims, pure)``.
 
     The coherence rows are one :func:`coherence_stack` call, which picks
     each state's route, so lhs and rhs equal :meth:`Bound.evaluate`'s; below
@@ -320,15 +318,14 @@ def suite_stack(
         raise InvalidStateError(
             f"state stack has shape {states.shape}, expected (B, {d}) or (B, {d}, {d})"
         )
+    (validate_rows if states.ndim == 2 else validate_stack)(states)
+    return _evaluate_stack(dims, states)
+
+
+def _evaluate_stack(dims: LocalDims, states: np.ndarray) -> tuple:
+    """:func:`suite_stack` on a stack of states that were already checked."""
+    states = np.ascontiguousarray(states, dtype=np.complex128)  # a state's array may be strided
     pure = states.ndim == 2
-    if not pure:
-        validate_stack(states)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):  # inf or overflow gives NaN or inf
-            unit = np.abs(np.vecdot(states, states).real - 1.0) <= EPS_NORM  # and both fail this
-        if not unit.all():
-            for row in np.flatnonzero(~unit):
-                PureState(dims, states[row])  # raises the constructor's message
     coherence = coherence_stack(dims, states)
     index, last, divisor, tangle = _fold_plan(dims, pure)
     rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
@@ -340,16 +337,13 @@ def suite_stack(
 
 
 def run_suite(state: State, tolerance: float = EPS_INEQ) -> list[InequalityResult]:
-    """Evaluate every bound of :func:`bounds`, in table order.
+    """Evaluate every bound of :func:`bounds`, in table order, as a one-row :func:`suite_stack`.
 
-    The state is evaluated as a one-row :func:`suite_stack`, which validates
-    a density operator up front: the samplers and :func:`partial_trace`
-    return operators that skipped construction.  A pure state is checked at
-    construction.
+    No check here: the constructor checked the state, or the library built it from checked data.
     """
     stack = _as_stack(state)
-    coherence, _, rhs = suite_stack(state.dims, stack)
     tolerance = check_tolerance(tolerance)
+    coherence, _, rhs = _evaluate_stack(state.dims, stack)
     lhs = coherence[-1, 0].item()
     names = suite_names(state.dims, stack.ndim == 2)
     return [_result(name, lhs, r, tolerance) for name, r in zip(names, rhs[:, 0].tolist())]

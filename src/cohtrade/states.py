@@ -151,12 +151,7 @@ class PureState:
             raise InvalidStateError(
                 f"amplitude vector has length {amps.shape[0]}, expected {dims.total_dim}"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= EPS_NORM:  # NaN fails this test
-            _require_finite(amps, "amplitude")
-            raise InvalidStateError(
-                f"squared norm {norm_sq!r} deviates from 1 by more than {EPS_NORM}"
-            )
+        validate_rows(amps[None])
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -172,11 +167,7 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace, positive matrix over a tensor-product space.
-
-    Construction checks the shape, then every density invariant with
-    :meth:`validate`; results of trusted operations skip construction.
-    """
+    """Hermitian, unit-trace, positive matrix over a tensor-product space."""
 
     dims: LocalDims
     mat: np.ndarray
@@ -198,8 +189,7 @@ class DensityOperator:
 
     @classmethod
     def _trusted(cls, dims: LocalDims, mat: np.ndarray) -> "DensityOperator":
-        # fast path for freshly allocated results of invariant-preserving
-        # operations (outer products, partial traces)
+        # fast path for results of invariant-preserving operations (projectors, partial traces)
         mat.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "dims", dims)
@@ -217,6 +207,23 @@ def _as_stack(state: State) -> np.ndarray:
     if isinstance(state, DensityOperator):
         return state.mat[None]
     raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
+
+
+def validate_rows(rows: np.ndarray) -> None:
+    """Check that every row of a ``(B, D)`` amplitude stack has finite entries and unit norm.
+
+    :class:`PureState` and ``suite_stack`` share this check.  The first row whose
+    squared norm is off 1 by more than ``EPS_NORM`` raises, on a NaN or inf entry first.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or overflow gives NaN or inf
+        norm_sq = np.vecdot(rows, rows).real
+    unit = np.abs(norm_sq - 1.0) <= EPS_NORM  # NaN and inf fail this test
+    if not unit.all():
+        k = int(unit.argmin())
+        _require_finite(rows[k], "amplitude")
+        raise InvalidStateError(
+            f"squared norm {float(norm_sq[k])!r} deviates from 1 by more than {EPS_NORM}"
+        )
 
 
 def validate_stack(mats: np.ndarray) -> None:

@@ -127,6 +127,41 @@ def test_verify_ghz_exits_zero(ghz_file, tmp_path, capsys):
         assert a.holds == (a.slack >= -a.tolerance)
 
 
+def _count_calls(monkeypatch, owner, name, counts, *also):
+    """Replace ``owner.name`` (and the same function bound in each of ``also``) with a counter."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    for target in (owner, *also):
+        monkeypatch.setattr(target, name, counted)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3)], ids=str)
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_verify_checks_each_state_file_once(tmp_path, capsys, monkeypatch, kind, dims):
+    # the reader's constructor checks the state; run_suite trusts it
+    if kind == "pure":
+        state = cohtrade.sample_haar_pure(dims, 4)
+    else:
+        state = sample_ginibre_mixed(dims, 3, 4)
+    path = tmp_path / "state.json"
+    write_state_file(path, state)
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "validate_rows", "vdot"), 0)
+    _count_calls(monkeypatch, np.linalg, "cholesky", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    _count_calls(monkeypatch, np, "vdot", counts)
+    _count_calls(monkeypatch, cohtrade.states, "validate_rows", counts, cohtrade.inequalities)
+    assert cli_main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    if kind == "pure":
+        assert counts == {"cholesky": 0, "eigvalsh": 0, "validate_rows": 1, "vdot": 0}
+    else:
+        assert counts == {"cholesky": 1, "eigvalsh": 0, "validate_rows": 0, "vdot": 0}
+
+
 def test_verify_conjecture_violation_does_not_fail_exit_code(tmp_path, capsys):
     path = tmp_path / "two_term.json"
     write_state_file(path, two_term_state(np.pi / 4))

@@ -4,10 +4,15 @@ Each command runs in-process through ``cli_main``.  Its exit code and the
 sha256 (to 16 hex digits) of its stdout, its stderr and the CSV file it
 writes are compared with digests recorded before the coherence kernels were
 merged, so a refactor that moves any printed or written digit fails here.
+The malformed files' pins, exit code 2 and the error message on stderr,
+were recorded while ``PureState`` still summed its squared norm with
+``np.vdot``, before it shared ``validate_rows`` with ``suite_stack``.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from cohtrade import sample_ginibre_mixed, sample_haar_pure, write_state_file
@@ -15,6 +20,16 @@ from cohtrade.cli import cli_main
 
 #: The dims of the generated state files, one pure and one density file each.
 FILE_DIMS = {"q3": (2, 2, 2), "q4": (2, 2, 2, 2), "q5": (2, 2, 2, 2, 2), "t3": (3, 3, 3)}
+
+#: Three-qubit files that are not states: (kind, amplitudes or matrix) per tag.
+_HAAR = sample_haar_pure((2, 2, 2), 100).amps
+MALFORMED = {
+    "triple": ("pure", 3 * _HAAR),
+    "nan": ("pure", np.where(np.arange(8) == 3, np.nan, _HAAR)),
+    "zero": ("pure", np.zeros(8)),
+    "negative": ("density", np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0])),
+    "skew": ("density", np.eye(8) / 8 + np.eye(8, k=1) * 0.1),
+}
 
 #: Each command's argv; ``{dir}`` is the directory of the state and CSV files.
 COMMANDS = {
@@ -53,6 +68,8 @@ COMMANDS = {
     "oracle": ["oracle", "--trials", "16"],
     # three stacked chunks of 1024 states, the last one partial
     "oracle-2100": ["oracle", "--trials", "2100", "--seed", "3"],
+    # the malformed files of ``MALFORMED``: exit code 2 and the message on stderr
+    **{f"verify-bad-{tag}": ["verify", f"{{dir}}/bad-{tag}.json"] for tag in MALFORMED},
 }
 
 #: (exit code, stdout, stderr, CSV or None), each a sha256 to 16 hex digits.
@@ -71,6 +88,11 @@ DIGESTS = {
     "sweep-two-term": (0, "7ff84834f356a91e", "e3b0c44298fc1c14", "1734c7a357653b4c"),
     "sweep-w": (0, "338bee7e65e721e2", "e3b0c44298fc1c14", "6961d0106618b61f"),
     "sweep-w-40": (0, "09de6570b2eed8ba", "e3b0c44298fc1c14", "e7e01a6f96ec3b83"),
+    "verify-bad-nan": (2, "e3b0c44298fc1c14", "a62c721bf122cd4b", None),
+    "verify-bad-negative": (2, "e3b0c44298fc1c14", "436b0c5d158dae67", None),
+    "verify-bad-skew": (2, "e3b0c44298fc1c14", "69ff0a2e5cb4e62f", None),
+    "verify-bad-triple": (2, "e3b0c44298fc1c14", "a727ae646b5d967b", None),
+    "verify-bad-zero": (2, "e3b0c44298fc1c14", "03e29bc8eff0e0e9", None),
     "verify-density-q3": (0, "d147559b89141050", "e3b0c44298fc1c14", "9aead7f7cdf32eeb"),
     "verify-density-q4": (0, "ebf74cf4d2e6b961", "e3b0c44298fc1c14", "e6fab6ce9e923d2c"),
     "verify-density-q5": (0, "31680a1bbde7613f", "e3b0c44298fc1c14", "5e01bd7bf005662f"),
@@ -94,6 +116,10 @@ def state_dir(tmp_path_factory):
         rank = 3 if tag == "q5" else None
         rho = sample_ginibre_mixed(dims, rank or 2 * len(dims), 200 + k)
         write_state_file(directory / f"density-{tag}.json", rho)
+    for tag, (kind, values) in MALFORMED.items():
+        data = [[z.real, z.imag] for z in np.asarray(values, dtype=complex).ravel().tolist()]
+        payload = {"dims": [2, 2, 2], "kind": kind, "data": data}
+        (directory / f"bad-{tag}.json").write_text(json.dumps(payload))
     return directory
 
 

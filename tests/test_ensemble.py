@@ -197,7 +197,7 @@ def _validate_error(mat):
     with pytest.raises(InvalidStateError) as exc:
         rho.validate()
     with pytest.raises(InvalidStateError) as suite_exc:
-        run_suite(rho)
+        suite_stack((2, 2, 2), mat[None])
     assert str(suite_exc.value) == str(exc.value)
     return str(exc.value)
 

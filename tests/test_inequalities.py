@@ -334,9 +334,8 @@ def test_suite_rejects_malformed_state():
     not_psd = np.diag([1.25, -0.25, 0, 0, 0, 0, 0, 0]).astype(np.complex128)
     with pytest.raises(InvalidStateError, match="eigenvalue"):
         DensityOperator(LocalDims((2, 2, 2)), not_psd)
-    bad = DensityOperator._trusted(LocalDims((2, 2, 2)), not_psd)
-    with pytest.raises(Exception, match="eigenvalue"):
-        run_suite(bad)
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        suite_stack((2, 2, 2), not_psd[None])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4)])

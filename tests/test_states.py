@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, 
 from cohtrade.coherence import stack_subsets
 from cohtrade.inequalities import chunk_states
 from cohtrade.states import _reduce, _reduction_plan, sample_ginibre_stack, sample_haar_stack
-from cohtrade.states import validate_stack
+from cohtrade.states import validate_rows, validate_stack
 
 from conftest import complex_normals, kron, random_hermitian
 
@@ -235,6 +236,33 @@ def test_stack_starting_with_nan_matrix_keeps_its_message():
 
 def test_empty_stack_is_valid():
     validate_stack(np.empty((0, 8, 8), dtype=np.complex128))
+    validate_rows(np.empty((0, 8), dtype=np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# states the library builds pass the checks that run_suite skips
+# ---------------------------------------------------------------------------
+
+#: (dims, Ginibre ranks): every rank at three qubits, else 1, D // 2 and D.
+GINIBRE_RANKS = [((2, 2, 2), range(1, 9))] + [
+    (dims, (1, math.prod(dims) // 2, math.prod(dims)))
+    for dims in ((3, 3, 3), (2, 3, 4), (2,) * 5)
+]
+SEEDS = range(64)
+
+
+@pytest.mark.parametrize("dims, ranks", GINIBRE_RANKS, ids=lambda x: str(tuple(x)))
+def test_sampled_and_derived_states_pass_the_checks(dims, ranks):
+    for rank in ranks:
+        validate_stack(sample_ginibre_stack(dims, rank, SEEDS))
+    validate_rows(sample_haar_stack(dims, SEEDS))
+    validate_stack(np.stack([density_from_pure(sample_haar_pure(dims, s)).mat for s in SEEDS]))
+    n = len(dims)
+    for seed in SEEDS:
+        rho = sample_ginibre_mixed(dims, ranks[seed % len(ranks)], seed)
+        for m in range(1, n):
+            for keep in itertools.combinations(range(1, n + 1), m):
+                validate_stack(partial_trace(rho, keep).mat[None])
 
 
 # ---------------------------------------------------------------------------
