@@ -2,8 +2,8 @@
 
 :func:`ensemble_reports` samples trial t from seed ``seed + t``, exactly as
 ``sample_haar_pure`` and ``sample_ginibre_mixed`` do, a chunk of at most
-``CHUNK_ENTRIES`` entries at a time, and checks and evaluates each chunk
-with :func:`inequalities.suite_stack`.
+``CHUNK_ENTRIES`` entries at a time, and evaluates each chunk as
+:func:`inequalities.suite_stack` does, without checking the states again.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ
-from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
+from .inequalities import _evaluate_stack, check_tolerance, chunk_states, suite_names
 from .states import LocalDims, _as_dims, check_count, check_rank, check_seed
 from .states import sample_ginibre_stack, sample_haar_stack
 
@@ -52,22 +52,23 @@ def ensemble_reports(
     tolerance = check_tolerance(tolerance)
     seed = int(check_seed(seed))  # also when there are no trials to sample
     dims = _as_dims(dims)
-    if rank is not None:
-        check_rank(dims, rank)  # also when there are no trials to sample
+    rank = dims.total_dim if rank is None else rank
+    check_rank(dims, rank)  # also when there are no trials to sample
     chunk = chunk_states(dims, not mixed)
     names = suite_names(dims, not mixed) if trials > 0 else []
     bound_rows = np.arange(len(names))
     violations = np.zeros(len(names), dtype=np.int64)
     min_slack = np.full(len(names), np.inf)
     argmin = np.zeros(len(names), dtype=np.int64)  # offsets from seed: a seed may exceed int64
-    rank = dims.total_dim if rank is None else rank
     for start in range(seed, seed + trials, chunk):
         seeds = range(start, min(start + chunk, seed + trials))
+        # not checked again: Haar rows are divided by their own norm, and G G^dag / tr
+        # is made exactly Hermitian, of trace 1 and PSD up to roundoff far inside EPS_*
         if mixed:
             states = sample_ginibre_stack(dims, rank, seeds)
         else:
             states = sample_haar_stack(dims, seeds)
-        coherence, _, rhs = suite_stack(dims, states)
+        coherence, _, rhs = _evaluate_stack(dims, states)
         slack = coherence[-1] - rhs
         violations += len(seeds) - np.count_nonzero(slack >= -tolerance, axis=1)
         first = slack.argmin(axis=1)  # the first trial at the minimum, as a strict < scan keeps

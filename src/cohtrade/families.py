@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .coherence import EPS_INEQ, stack_rows
-from .inequalities import check_tolerance, chunk_states, suite_names, suite_stack
+from .inequalities import _evaluate_stack, check_tolerance, chunk_states, suite_names
 from .states import LocalDims, PureState, SubsystemSet, check_count
 
 #: Each family's parameter names, in the order its functions take them.
@@ -146,10 +146,9 @@ def family_sweep(
 ) -> Sweep:
     """Run the full verifier suite at every grid point.
 
-    The points are evaluated in stacked chunks of :func:`suite_stack`, whose
-    coherence rows and tau also give the numeric quantities; each chunk's
-    amplitudes are built inside the loop, so only ``params`` and the arrays
-    grow with the grid.
+    The points are evaluated in stacked chunks, whose coherence rows and tau
+    also give the numeric quantities; each chunk's amplitudes are built inside
+    the loop, so only ``params`` and the arrays grow with the grid.
     """
     tolerance = check_tolerance(tolerance)  # also for an empty grid
     params = [_grid_point(family, point) for point in grid]
@@ -161,7 +160,8 @@ def family_sweep(
     for start in range(0, len(params), chunk):
         part = params[start : start + chunk]
         columns = slice(start, start + len(part))
-        coherence, tau, rhs = suite_stack(_THREE_QUBITS, _amplitudes(family, part))
+        # not checked again: _grid_point checked each parameter, so rows are unit-norm to roundoff
+        coherence, tau, rhs = _evaluate_stack(_THREE_QUBITS, _amplitudes(family, part))
         # closed forms per point on math, whose sin and cos do not vary with numpy's SIMD paths
         closed[:, columns] = np.transpose([list(closed_forms(family, p).values()) for p in part])
         numeric[:, columns] = np.vstack((coherence[_QUANTITY_ROWS], tau))

@@ -237,9 +237,9 @@ def validate_stack(mats: np.ndarray) -> None:
     rejects takes a batched ``eigvalsh``, which decides and names the
     minimum eigenvalue.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the tests below
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the tests below
         skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    trace = np.trace(mats, axis1=1, axis2=2)
+        trace = np.trace(mats, axis1=1, axis2=2)
     ok = (skew <= EPS_HERM) & (np.abs(trace - 1.0) <= EPS_NORM)  # and so does NaN
     # only the matrices before the first structural failure need a positivity check
     first = len(mats) if ok.all() else int(ok.argmin())
@@ -482,8 +482,7 @@ def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -
     """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
 
     One Box-Muller transform and one normalization serve the whole stack.
-    Uniforms in [0, 1) make every row a unit vector, which ``suite_stack``
-    checks.
+    Each row is divided by its own norm, so it is a unit vector to roundoff.
     """
     dims = _as_dims(dims)
     u = _uniform_pairs(seeds, (dims.total_dim,))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,19 +9,24 @@ import pytest
 
 import cohtrade
 from cohtrade import (
+    FAMILIES,
     InvalidStateError,
     cli_main,
+    default_grid,
     ensemble_reports,
+    family_sweep,
     ghz_state,
     read_state_file,
     run_suite,
     sample_ginibre_mixed,
     state_from_dict,
+    suite_stack,
     two_term_state,
     write_state_file,
 )
 from cohtrade import cli
-from cohtrade.states import LocalDims
+from cohtrade.families import _amplitudes
+from cohtrade.states import LocalDims, sample_ginibre_stack, sample_haar_stack
 from conftest import read_results_csv
 
 
@@ -160,6 +166,40 @@ def test_verify_checks_each_state_file_once(tmp_path, capsys, monkeypatch, kind,
         assert counts == {"cholesky": 0, "eigvalsh": 0, "validate_rows": 1, "vdot": 0}
     else:
         assert counts == {"cholesky": 1, "eigvalsh": 0, "validate_rows": 0, "vdot": 0}
+
+
+def _count_checks(monkeypatch):
+    counts = dict.fromkeys(("cholesky", "eigvalsh", "validate_rows", "validate_stack"), 0)
+    _count_calls(monkeypatch, np.linalg, "cholesky", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    for name in ("validate_rows", "validate_stack"):  # suite_stack calls inequalities' binding
+        _count_calls(monkeypatch, cohtrade.states, name, counts, cohtrade.inequalities)
+    return counts
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2, 2)], ids=str)
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_sampled_stacks_are_not_checked_again(monkeypatch, dims, mixed):
+    # the sampler builds states; only a caller's stack passed to suite_stack is checked
+    counts = _count_checks(monkeypatch)
+    ensemble_reports(dims, 8, 3, mixed=mixed)
+    assert counts == dict.fromkeys(counts, 0)
+    if mixed:
+        suite_stack(dims, sample_ginibre_stack(dims, math.prod(dims), range(3, 11)))
+        assert counts == {**dict.fromkeys(counts, 0), "validate_stack": 1, "cholesky": 1}
+    else:
+        suite_stack(dims, sample_haar_stack(dims, range(3, 11)))
+        assert counts == {**dict.fromkeys(counts, 0), "validate_rows": 1}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_rows_are_not_checked_again(monkeypatch, family):
+    counts = _count_checks(monkeypatch)
+    grid = default_grid(family, 4)
+    family_sweep(family, grid)
+    assert counts == dict.fromkeys(counts, 0)
+    suite_stack((2, 2, 2), _amplitudes(family, grid))
+    assert counts == {**dict.fromkeys(counts, 0), "validate_rows": 1}
 
 
 def test_verify_conjecture_violation_does_not_fail_exit_code(tmp_path, capsys):

@@ -150,13 +150,13 @@ def test_sweep_across_chunks(monkeypatch):
     grid = default_grid("w", 6)
     whole = family_sweep("w", grid, 1e-7)
     calls = []
-    suite_stack = families.suite_stack
+    evaluate_stack = families._evaluate_stack
 
-    def counting_suite_stack(dims, states):
+    def counting_evaluate_stack(dims, states):
         calls.append(len(states))
-        return suite_stack(dims, states)
+        return evaluate_stack(dims, states)
 
-    monkeypatch.setattr(families, "suite_stack", counting_suite_stack)
+    monkeypatch.setattr(families, "_evaluate_stack", counting_evaluate_stack)
     monkeypatch.setattr(inequalities, "CHUNK_ENTRIES", 5 * 64)
     chunked = family_sweep("w", grid, 1e-7)
     assert calls == [5] * 7 + [1]

@@ -1,16 +1,20 @@
 import hashlib
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from cohtrade import (
+    FAMILIES,
     DensityOperator,
     InvalidStateError,
     LocalDims,
     PureState,
     SubsystemSet,
+    cli_main,
     default_grid,
     density_from_pure,
     ensemble_reports,
@@ -19,9 +23,11 @@ from cohtrade import (
     partial_trace,
     sample_ginibre_mixed,
     sample_haar_pure,
+    write_state_file,
 )
 from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, stack_rows
 from cohtrade.coherence import stack_subsets
+from cohtrade.families import _amplitudes
 from cohtrade.inequalities import chunk_states
 from cohtrade.states import _reduce, _reduction_plan, sample_ginibre_stack, sample_haar_stack
 from cohtrade.states import validate_rows, validate_stack
@@ -183,6 +189,25 @@ def test_density_operator_structural_checks():
     assert good.validate() is good
 
 
+def test_overflowing_density_entries_raise_without_a_warning(tmp_path, capsys):
+    # m - m^dag and the trace overflow to inf, which fails the checks without a RuntimeWarning
+    dims = LocalDims((2,))
+    cases = {
+        "skew": (np.array([[0.5, 1e308], [-1e308, 0.5]]), "matrix is not Hermitian within "),
+        "huge": (np.diag([1e308, 1e308]), "trace (inf+0j) deviates from 1 by more than "),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (mat, message) in cases.items():
+            with pytest.raises(InvalidStateError, match=re.escape(message)):
+                DensityOperator(dims, mat)
+            path = tmp_path / f"{name}.json"
+            write_state_file(path, DensityOperator._trusted(dims, mat.astype(np.complex128)))
+            assert cli_main(["verify", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def with_min_eigenvalue(d, min_eig, seed=0):
     """Hermitian unit-trace ``U diag(min_eig, w, ..., w) U^dag`` for a random unitary U."""
     rng = np.random.default_rng(seed)
@@ -240,29 +265,37 @@ def test_empty_stack_is_valid():
 
 
 # ---------------------------------------------------------------------------
-# states the library builds pass the checks that run_suite skips
+# states the library builds pass the checks that run_suite, ensembles and sweeps skip
 # ---------------------------------------------------------------------------
 
-#: (dims, Ginibre ranks): every rank at three qubits, else 1, D // 2 and D.
+#: (dims, Ginibre ranks): every rank at three qubits, else 1, D // 2 and D,
+#: at every dims that the ensembles sample in the benchmark.
 GINIBRE_RANKS = [((2, 2, 2), range(1, 9))] + [
     (dims, (1, math.prod(dims) // 2, math.prod(dims)))
-    for dims in ((3, 3, 3), (2, 3, 4), (2,) * 5)
+    for dims in ((3, 3, 3), (2, 3, 4), (2,) * 5, (2,) * 6, (2,) * 8)
 ]
-SEEDS = range(64)
 
 
 @pytest.mark.parametrize("dims, ranks", GINIBRE_RANKS, ids=lambda x: str(tuple(x)))
 def test_sampled_and_derived_states_pass_the_checks(dims, ranks):
+    # ensemble_reports evaluates sampled stacks without these checks
+    seeds = range(8 if len(dims) == 8 else 64)
     for rank in ranks:
-        validate_stack(sample_ginibre_stack(dims, rank, SEEDS))
-    validate_rows(sample_haar_stack(dims, SEEDS))
-    validate_stack(np.stack([density_from_pure(sample_haar_pure(dims, s)).mat for s in SEEDS]))
+        validate_stack(sample_ginibre_stack(dims, rank, seeds))
+    validate_rows(sample_haar_stack(dims, seeds))
+    validate_stack(np.stack([density_from_pure(sample_haar_pure(dims, s)).mat for s in seeds]))
     n = len(dims)
-    for seed in SEEDS:
+    for seed in seeds:
         rho = sample_ginibre_mixed(dims, ranks[seed % len(ranks)], seed)
         for m in range(1, n):
             for keep in itertools.combinations(range(1, n + 1), m):
                 validate_stack(partial_trace(rho, keep).mat[None])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_rows_pass_the_checks(family):
+    # family_sweep evaluates these rows without the check, on parameters _grid_point checked
+    validate_rows(_amplitudes(family, default_grid(family, 257)))
 
 
 # ---------------------------------------------------------------------------
