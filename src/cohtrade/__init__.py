@@ -61,7 +61,7 @@ from .states import (
     sample_haar_pure,
 )
 from .stateio import read_state_file, state_from_dict, state_to_dict, write_state_file
-from .tangle import ckw_tangle_oracle, three_tangle, wootters_concurrence
+from .tangle import ckw_tangle_oracle, three_tangle
 
 __version__ = "0.1.0"
 
@@ -129,7 +129,6 @@ __all__ = [
     "verify_theorem1",
     "verify_theorem3",
     "w_state",
-    "wootters_concurrence",
     "write_results_csv",
     "write_state_file",
 ]

@@ -6,12 +6,12 @@ import math
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import DensityOperator, LocalDims, SubsystemSet, _is_integer
-from .states import _reduce, partial_trace
+from .states import DensityOperator, LocalDims, SubsystemSet, _as_dims, _is_integer
+from .states import _reduce, check_stack, partial_trace
 
 EPS_INEQ = 1e-9
 
@@ -139,12 +139,15 @@ def _amplitude_coherence_stack(
     return out if rows is None else out[list(rows)]
 
 
-def coherence_stack(dims: LocalDims, states: np.ndarray) -> np.ndarray:
+def coherence_stack(dims: "LocalDims | Sequence[int]", states: np.ndarray) -> np.ndarray:
     """l1 coherence of every reduction of each state of a stack, ``(2^n - 1, B)``: the one kernel.
 
-    ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``.
+    ``states`` holds amplitude rows ``(B, D)`` or density matrices ``(B, D, D)``,
+    unchecked; any other shape raises ``InvalidStateError`` naming both shapes.
     Row i is subset ``stack_subsets(n)[i]``, the last row the full coherence.
     """
+    dims, states = _as_dims(dims), np.asarray(states)
+    check_stack(states, (dims.total_dim,), (dims.total_dim,) * 2)
     return _coherence_rows(dims, states, None)
 
 

@@ -29,10 +29,10 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _coherence_rows, coherence_stack, gamma
-from .coherence import stack_rows
-from .states import DensityOperator, InvalidStateError, LocalDims, PureState, State, SubsystemSet
-from .states import _as_dims, _as_stack, _is_integer, validate_rows, validate_stack
+from .coherence import AMPLITUDE_MIN_DIM, EPS_INEQ, _coherence_rows, gamma, stack_rows
+from .states import DensityOperator, LocalDims, PureState, State, SubsystemSet, _as_dims, _as_stack
+from .states import _as_subsystem, _is_integer, check_count, check_stack, validate_rows
+from .states import validate_stack
 from .tangle import three_tangle, three_tangle_stack
 
 #: Complex entries per stacked chunk (16 B each): callers of :func:`suite_stack`
@@ -89,7 +89,9 @@ def _result(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityRe
 class Bound:
     """C_full >= (sum of C_S over ``subsets``) / ``divisor``, plus tau if ``tangle``, at ``dims``.
 
-    ``rows`` holds each subset's :func:`coherence_stack` row, from :func:`stack_rows`.
+    ``divisor`` is an integer >= 1 and ``subsets`` a nonempty family of party
+    sets (:class:`SubsystemSet` or tuples), else ``ValueError``.  ``rows`` holds
+    each subset's :func:`coherence_stack` row, from :func:`stack_rows`.
 
     ``proved`` is true when no party lies in more than ``divisor`` subsets:
     exactly then is ``w(p) = 1 - #{S : p within S} / divisor`` >= 0 for every
@@ -108,11 +110,16 @@ class Bound:
     proved: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        check_count("divisor", self.divisor, 1)
         dims = _as_dims(self.dims)
+        subsets = tuple(_as_subsystem(s).check_against(dims) for s in self.subsets)
+        if not subsets:
+            raise ValueError(f"bound {self.name} needs at least one subset")
         row = stack_rows(dims.n_parties)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "rows", tuple(row[s.check_against(dims)] for s in self.subsets))
-        share = max(sum(p in s.parties for s in self.subsets) for p in range(1, dims.n_parties + 1))
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "rows", tuple(row[s] for s in subsets))
+        share = max(sum(p in s.parties for s in subsets) for p in range(1, dims.n_parties + 1))
         object.__setattr__(self, "proved", share <= self.divisor)
 
     def evaluate(self, state: State, tolerance: float = EPS_INEQ) -> InequalityResult:
@@ -153,16 +160,13 @@ class Bound:
         """The slack without tau at ``np.abs(states)``: the sum of ``w(p) |rho_xy|``, ``(B,)``.
 
         ``states`` holds unvalidated amplitude rows ``(B, D)`` or matrices
-        ``(B, D, D)`` at the bound's dims.  For ``thm1`` this is the paper's
-        D'/2 of a pure state and D/2 of a mixed one.  It is reduced and folded
-        as in :func:`suite_stack`, whose slack it equals bit for bit on |a|.
+        ``(B, D, D)`` at the bound's dims (any other shape raises
+        ``InvalidStateError``).  For ``thm1`` this is the paper's D'/2 of a
+        pure state and D/2 of a mixed one.  It is reduced and folded as in
+        :func:`suite_stack`, whose slack it equals bit for bit on |a|.
         """
         d = self.dims.total_dim
-        if states.ndim not in (2, 3) or states.shape[1:] != (d,) * (states.ndim - 1):
-            raise ValueError(
-                f"bound {self.name} is stated for dims {self.dims.dims}, "
-                f"got a stack of shape {states.shape}"
-            )
+        check_stack(states, (d,), (d, d))
         rows = (*self.rows, 2**self.dims.n_parties - 2)
         *values, lhs = _coherence_rows(self.dims, np.abs(states).astype(np.complex128), rows)
         return lhs - np.add.accumulate(values, axis=0)[-1] / self.divisor
@@ -172,10 +176,7 @@ _Q3 = LocalDims((2, 2, 2))
 _PAIRS = gamma(2, 3)
 _THM1 = Bound("thm1", _Q3, _PAIRS, 2)
 _EQ4 = {p: Bound(f"eq4-pivot{p}", _Q3, tuple(s for s in _PAIRS if p in s), 1) for p in (1, 2, 3)}
-_EQ5 = {
-    s: Bound(f"eq5-single{s}", _Q3, (SubsystemSet((s,)), SubsystemSet(sorted({1, 2, 3} - {s}))), 1)
-    for s in (1, 2, 3)
-}
+_EQ5 = {s: Bound(f"eq5-single{s}", _Q3, ((s,), sorted({1, 2, 3} - {s})), 1) for s in (1, 2, 3)}
 _THM3 = Bound("thm3", _Q3, _PAIRS, 2, tangle=True)
 _EQ10 = Bound("eq10", _Q3, gamma(1, 3), 1, tangle=True)
 
@@ -314,10 +315,7 @@ def suite_stack(
     dims = _as_dims(dims)
     states = np.ascontiguousarray(states, dtype=np.complex128)
     d = dims.total_dim
-    if states.ndim not in (2, 3) or states.shape[1:] != (d,) * (states.ndim - 1):
-        raise InvalidStateError(
-            f"state stack has shape {states.shape}, expected (B, {d}) or (B, {d}, {d})"
-        )
+    check_stack(states, (d,), (d, d))
     (validate_rows if states.ndim == 2 else validate_stack)(states)
     return _evaluate_stack(dims, states)
 
@@ -326,7 +324,7 @@ def _evaluate_stack(dims: LocalDims, states: np.ndarray) -> tuple:
     """:func:`suite_stack` on a stack of states that were already checked."""
     states = np.ascontiguousarray(states, dtype=np.complex128)  # a state's array may be strided
     pure = states.ndim == 2
-    coherence = coherence_stack(dims, states)
+    coherence = _coherence_rows(dims, states, None)
     index, last, divisor, tangle = _fold_plan(dims, pure)
     rhs = np.add.accumulate(coherence[index], axis=1)[last] / divisor
     tau = None

@@ -209,6 +209,13 @@ def _as_stack(state: State) -> np.ndarray:
     raise TypeError(f"expected PureState or DensityOperator, got {type(state).__name__}")
 
 
+def check_stack(stack: np.ndarray, *shapes: tuple[int, ...], what: str = "state") -> None:
+    """Raise ``InvalidStateError`` unless ``stack`` is ``(B, *s)`` for an s of ``shapes``."""
+    if stack.shape[1:] not in shapes:  # shape[1:] of a 0-d or 1-d array is (), never listed
+        expected = " or ".join("(" + ", ".join(("B", *map(str, s))) + ")" for s in shapes)
+        raise InvalidStateError(f"{what} stack has shape {stack.shape}, expected {expected}")
+
+
 def validate_rows(rows: np.ndarray) -> None:
     """Check that every row of a ``(B, D)`` amplitude stack has finite entries and unit norm.
 

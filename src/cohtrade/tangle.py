@@ -1,11 +1,14 @@
-"""Three-tangle of pure three-qubit states, with a concurrence-based oracle."""
+"""Three-tangle of pure three-qubit states, with a concurrence-based oracle.
+
+A one-state function raises ``ValueError`` on a state of other dims, a stack
+function ``InvalidStateError`` naming both shapes on a stack of another shape.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityOperator, LocalDims, PureState
-from .states import _reduce, _require_three_qubits
+from .states import LocalDims, PureState, _reduce, _require_three_qubits, check_stack
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y).real  # entries are 0 and +-1
@@ -36,12 +39,6 @@ def _tangle(amps) -> float:
     return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def _require_stack(stack: np.ndarray, shape: tuple[int, ...], what: str) -> None:
-    if stack.ndim != 1 + len(shape) or stack.shape[1:] != shape:
-        batch = ", ".join(("B", *map(str, shape)))
-        raise ValueError(f"({batch}) {what} stack required, got shape {stack.shape}")
-
-
 def three_tangle(psi: PureState) -> float:
     """Tangle tau of a pure three-qubit state (see :func:`_tangle`)."""
     _require_three_qubits(psi.dims)
@@ -50,7 +47,7 @@ def three_tangle(psi: PureState) -> float:
 
 def three_tangle_stack(amps: np.ndarray) -> np.ndarray:
     """:func:`three_tangle` of every row of a ``(B, 8)`` amplitude stack, row by row."""
-    _require_stack(amps, (8,), "three-qubit amplitude")
+    check_stack(amps, (8,), what="three-qubit amplitude")
     rows = amps.astype(np.complex128, copy=False).tolist()
     return np.array([_tangle(row) for row in rows], dtype=np.float64)
 
@@ -66,18 +63,11 @@ def concurrence_stack(rho: np.ndarray) -> np.ndarray:
     batched ``eigh`` and one batched ``svd`` serve the stack; numpy's linalg
     solves each matrix of a stack as it would alone.
     """
-    _require_stack(rho, (4, 4), "two-qubit density")
+    check_stack(rho, (4, 4), what="two-qubit density")
     w, v = np.linalg.eigh(rho)
     psi = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     lam = np.linalg.svd(psi.transpose(0, 2, 1) @ _SYSY @ psi, compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-
-
-def wootters_concurrence(rho: DensityOperator) -> float:
-    """Concurrence of a two-qubit state: the one-matrix case of :func:`concurrence_stack`."""
-    if rho.dims.dims != (2, 2):
-        raise ValueError(f"two-qubit state required, got dims {rho.dims.dims}")
-    return concurrence_stack(rho.mat[None]).item()
 
 
 def ckw_tangle_oracle_stack(amps: np.ndarray) -> np.ndarray:
@@ -90,7 +80,7 @@ def ckw_tangle_oracle_stack(amps: np.ndarray) -> np.ndarray:
     numpy complex-array product may round differently from the
     complex-scalar one.
     """
-    _require_stack(amps, (8,), "three-qubit amplitude")
+    check_stack(amps, (8,), what="three-qubit amplitude")
     det_a, conc = np.empty(len(amps)), np.empty((len(amps), 2))
     for _, block, reduced in _reduce(_THREE_QUBITS, amps.astype(np.complex128, copy=False), _KEEPS):
         if reduced.shape[-1] == 2:  # rho_A

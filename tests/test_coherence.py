@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cohtrade import (
     AMPLITUDE_MIN_DIM,
     DensityOperator,
+    InvalidStateError,
     LocalDims,
     SubsystemSet,
     coherence_stack,
@@ -315,11 +317,11 @@ def test_slack_d_examples():
 
 
 def test_slack_d_rejects_wrong_dims():
-    message = r"bound thm1 is stated for dims \(2, 2, 2\), got a stack of shape \(1, 4, 4\)"
-    with pytest.raises(ValueError, match=message):
+    message = "state stack has shape (1, 4, 4), expected (B, 8) or (B, 8, 8)"
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
         slack_d(sample_ginibre_mixed((2, 2), 2, 0))
     for shape in ((8,), (1, 4), (1, 8, 4), (1, 1, 8, 8)):
-        with pytest.raises(ValueError, match="bound thm1"):
+        with pytest.raises(InvalidStateError, match=re.escape(f"state stack has shape {shape},")):
             THM1.residual(np.zeros(shape))
 
 

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from cohtrade import (
+    Bound,
     DensityOperator,
     InequalityResult,
     InvalidStateError,
     LocalDims,
     PureState,
+    SubsystemSet,
     Sweep,
     TrialReport,
     bounds,
+    coherence_stack,
     default_grid,
     density_from_pure,
     ensemble_reports,
@@ -492,14 +495,30 @@ WRONG_SHAPES = {
     "one-amplitude-row": ghz_state(np.pi / 4).amps,
     "rows-of-other-dims": sample_haar_stack((2, 2), range(3)),
 }
+#: Each public function that takes a stack of states at ``dims``
+STACK_ENTRY_POINTS = {
+    "suite_stack": suite_stack,
+    "coherence_stack": coherence_stack,
+    "Bound.residual": lambda dims, states: bounds(dims, pure=False)[0].residual(states),
+}
+#: Six-qubit rows at five qubits, whose first 32 amplitudes a kernel could read as a state
+SIX_QUBIT_ROWS = (LocalDims((2,) * 5), sample_haar_stack((2,) * 6, range(2)))
 
 
-@pytest.mark.parametrize("fault", list(WRONG_SHAPES))
-def test_suite_stack_rejects_stacks_of_other_shapes(fault):
-    states = WRONG_SHAPES[fault]
-    expected = f"state stack has shape {states.shape}, expected (B, 8) or (B, 8, 8)"
+def _wrong_shape_cases():
+    for entry in STACK_ENTRY_POINTS:
+        prefix = "" if entry == "suite_stack" else f"{entry}-"
+        for fault, states in WRONG_SHAPES.items():
+            yield pytest.param(entry, THREE, states, id=prefix + fault)
+        yield pytest.param(entry, *SIX_QUBIT_ROWS, id=prefix + "six-qubit-rows-at-five-qubits")
+
+
+@pytest.mark.parametrize("entry,dims,states", list(_wrong_shape_cases()))
+def test_suite_stack_rejects_stacks_of_other_shapes(entry, dims, states):
+    d = dims.total_dim
+    expected = f"state stack has shape {states.shape}, expected (B, {d}) or (B, {d}, {d})"
     with pytest.raises(InvalidStateError, match=f"^{re.escape(expected)}$"):
-        suite_stack(THREE, states)
+        STACK_ENTRY_POINTS[entry](dims, states)
 
 
 def test_suite_stack_reads_an_unbatched_matrix_as_amplitude_rows():
@@ -508,6 +527,31 @@ def test_suite_stack_reads_an_unbatched_matrix_as_amplitude_rows():
     with pytest.raises(InvalidStateError) as exc:
         suite_stack(THREE, _GHZ)
     assert str(exc.value) == _constructor_message(THREE, _GHZ[0])
+
+
+BAD_BOUND_RECORDS = {
+    "divisor-0": (gamma(2, 3), 0, "divisor must be >= 1, got 0"),
+    "divisor-negative": (gamma(2, 3), -1, "divisor must be >= 1, got -1"),
+    "divisor-True": (gamma(2, 3), True, "divisor must be an integer, got True"),
+    "divisor-str": (gamma(2, 3), "2", "divisor must be an integer, got '2'"),
+    "divisor-float": (gamma(2, 3), 2.0, "divisor must be an integer, got 2.0"),
+    "no-subsets": ((), 1, "bound b needs at least one subset"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_BOUND_RECORDS))
+def test_bound_rejects_a_bad_record(fault):
+    subsets, divisor, message = BAD_BOUND_RECORDS[fault]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Bound("b", THREE, subsets, divisor)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (3, 3, 3)])
+def test_bound_takes_party_tuples_as_subsets(dims):
+    for entry in bounds(dims, pure=True):
+        assert all(isinstance(s, SubsystemSet) for s in entry.subsets)
+        tuples = [s.parties for s in entry.subsets]
+        assert Bound(entry.name, dims, tuples, entry.divisor, entry.tangle) == entry
 
 
 _PSI = ghz_state(0.3)

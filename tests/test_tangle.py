@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cohtrade import (
+    InvalidStateError,
     LocalDims,
     PureState,
     ckw_tangle_oracle,
@@ -17,7 +18,6 @@ from cohtrade import (
     subset_coherence,
     three_tangle,
     w_state,
-    wootters_concurrence,
 )
 from cohtrade.states import sample_haar_stack
 from cohtrade.tangle import _SYSY, ckw_tangle_oracle_stack, concurrence_stack, three_tangle_stack
@@ -36,7 +36,7 @@ def half_dprime(psi):
 def spin_flip_spectrum_direct(rho):
     """Descending sqrt-eigenvalues of rho (sysy) rho* (sysy) via a general eigensolve.
 
-    Reference route for cross-checking :func:`wootters_concurrence`; accurate
+    Reference route for cross-checking :func:`concurrence_stack`; accurate
     only to ~1e-7 absolute for rank-deficient inputs.
     """
     flipped = _SYSY @ rho.mat.conj() @ _SYSY
@@ -113,17 +113,19 @@ def test_three_tangle_rejects_wrong_dims():
 
 
 # ---------------------------------------------------------------------------
-# wootters_concurrence and the monogamy oracle
+# concurrence and the monogamy oracle
 # ---------------------------------------------------------------------------
 
 def test_concurrence_of_bell_state():
     bell = PureState(LocalDims((2, 2)), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    assert wootters_concurrence(density_from_pure(bell)) == pytest.approx(1.0, abs=1e-12)
+    rho = density_from_pure(bell)
+    assert concurrence_stack(rho.mat[None]).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_of_product_state_is_zero():
     prod = PureState(LocalDims((2, 2)), np.array([1.0, 0, 0, 0]))
-    assert wootters_concurrence(density_from_pure(prod)) == pytest.approx(0.0, abs=1e-12)
+    rho = density_from_pure(prod)
+    assert concurrence_stack(rho.mat[None]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_matches_direct_spin_flip_spectrum():
@@ -133,7 +135,7 @@ def test_concurrence_matches_direct_spin_flip_spectrum():
         rho = sample_ginibre_mixed((2, 2), 4, seed)
         lam = spin_flip_spectrum_direct(rho)
         direct = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-        assert abs(wootters_concurrence(rho) - direct) < 1e-7
+        assert abs(concurrence_stack(rho.mat[None]).item() - direct) < 1e-7
 
 
 def test_ckw_oracle_ghz():
@@ -179,7 +181,7 @@ def test_stacked_concurrence_matches_per_state_reference():
     stacked = concurrence_stack(np.array([rho.mat for rho in rhos]))
     reference = [reference_concurrence(rho) for rho in rhos]
     assert np.abs(stacked - reference).max() <= ORACLE_ATOL
-    assert [wootters_concurrence(rho) for rho in rhos] == stacked.tolist()
+    assert [concurrence_stack(rho.mat[None]).item() for rho in rhos] == stacked.tolist()
 
 
 def test_stacked_oracle_on_ghz_w_and_basis_states():
@@ -195,7 +197,11 @@ def test_stacked_oracle_on_ghz_w_and_basis_states():
     + [(concurrence_stack, shape) for shape in ((4, 4), (2, 4, 3), (1, 8, 8))],
 )
 def test_stacked_oracle_rejects_other_shapes(stacked, shape):
-    with pytest.raises(ValueError, match=re.escape(f"stack required, got shape {shape}")):
+    expected = {
+        ckw_tangle_oracle_stack: "three-qubit amplitude stack has shape {}, expected (B, 8)",
+        concurrence_stack: "two-qubit density stack has shape {}, expected (B, 4, 4)",
+    }[stacked].format(shape)
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(expected)}$"):
         stacked(np.zeros(shape, dtype=complex))
 
 
@@ -233,7 +239,8 @@ def test_dprime_consistent_with_pairwise_bound(haar_three_qubit):
 
 
 def test_dprime_rejects_wrong_dims():
-    with pytest.raises(ValueError, match=r"bound thm1 is stated for dims \(2, 2, 2\)"):
+    message = "state stack has shape (1, 4), expected (B, 8) or (B, 8, 8)"
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
         THM1.residual(sample_haar_pure((2, 2), 1).amps[None])
 
 
