@@ -61,16 +61,16 @@ def ensemble_reports(
     min_slack = np.full(len(names), np.inf)
     argmin = np.zeros(len(names), dtype=np.int64)  # offsets from seed: a seed may exceed int64
     for start in range(seed, seed + trials, chunk):
-        seeds = range(start, min(start + chunk, seed + trials))
+        count = min(chunk, seed + trials - start)
         # not checked again: Haar rows are divided by their own norm, and G G^dag / tr
         # is made exactly Hermitian, of trace 1 and PSD up to roundoff far inside EPS_*
         if mixed:
-            states = sample_ginibre_stack(dims, rank, seeds)
+            states = sample_ginibre_stack(dims, rank, start, count)
         else:
-            states = sample_haar_stack(dims, seeds)
+            states = sample_haar_stack(dims, start, count)
         coherence, _, rhs = _evaluate_stack(dims, states)
         slack = coherence[-1] - rhs
-        violations += len(seeds) - np.count_nonzero(slack >= -tolerance, axis=1)
+        violations += count - np.count_nonzero(slack >= -tolerance, axis=1)
         first = slack.argmin(axis=1)  # the first trial at the minimum, as a strict < scan keeps
         low = slack[bound_rows, first]
         lower = low < min_slack  # strict: a tie keeps the earlier chunk's seed

@@ -9,8 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .inequalities import InequalityResult, bounds, corollary_name
-from .states import LocalDims, PureState, _as_dims, _box_muller, _uniform_pairs, check_count
-from .states import check_seed
+from .states import LocalDims, PureState, _as_dims, _gaussians, check_count, check_seed
 
 Objective = Callable[[PureState], InequalityResult]
 
@@ -144,7 +143,7 @@ def minimize_slack(
     check_count("restarts", restarts, 1)
     check_count("iterations", iterations, 0)
     check_count("rounds", rounds, 1)
-    check_seed(seed)
+    seed = int(check_seed(seed))  # a numpy uint64 seed plus the restarts would wrap
     dims = _as_dims(dims)
     d = dims.total_dim
     runner = resolve_objective(objective, dims)
@@ -167,8 +166,7 @@ def minimize_slack(
     best_x: np.ndarray | None = None
     best_value = math.inf
     evaluations = 0
-    starts = _box_muller(*_uniform_pairs(range(seed, seed + restarts), (d,)))
-    for z in starts:
+    for z in _gaussians(seed, restarts, (d,)):
         x0 = np.concatenate([z.real, z.imag])
         x, value, evals = _descend(f, x0, iterations, rounds)
         evaluations += evals

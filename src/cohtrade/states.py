@@ -384,12 +384,6 @@ def partial_trace(
     return DensityOperator._trusted(kept, reduced[0, 0])
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Standard complex Gaussians (Re and Im each N(0,1)) from uniform pairs in [0, 1)."""
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # log(1 - u1), safe at u1 = 0
-    return radius * np.exp(2j * np.pi * u2)
-
-
 #: Stacks of fewer seeds seed each generator with ``np.random.default_rng``:
 #: below this, :func:`_seed_words`'s fixed cost (about 30 us) exceeds the
 #: 7-9 us per seed that it saves (measured break-even: 4 seeds).
@@ -461,39 +455,39 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _uniform_pairs(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
-    """Uniforms in [0, 1) of shape ``(2, B) + shape``; ``u[:, t]`` comes from ``seeds[t]``.
+def _gaussians(seed: int, count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussians of shape ``(count,) + shape``; row t comes from seed + t.
 
-    Each seed, taken as checked, gets the generator ``np.random.default_rng``
-    would give it, which draws all of ``u[0, t]``, then all of ``u[1, t]``;
-    :func:`_box_muller` turns the pair into standard complex Gaussians.  A
-    stack of at least ``_HASH_MIN_SEEDS`` seeds below 2^64 hashes its seeds
-    at once with :func:`_seed_words`; numpy then seeds each PCG64 and draws.
+    ``seed`` is a checked Python int and ``count`` a checked count.  Row t
+    gets the generator ``np.random.default_rng(seed + t)`` would give it,
+    which draws all of its uniforms u1, then all of u2, in [0, 1); one
+    Box-Muller transform of the stack turns them into Gaussians (Re and Im
+    each N(0,1)).  A range of at least ``_HASH_MIN_SEEDS`` seeds that ends
+    at or below 2^64 hashes its seeds at once with :func:`_seed_words`;
+    numpy then seeds each PCG64 and draws.
     """
-    u = np.empty((2, len(seeds)) + shape)
-    rngs = map(np.random.default_rng, seeds)
-    if len(seeds) >= _HASH_MIN_SEEDS:
-        try:
-            words = _seed_words(np.array(seeds, dtype=np.uint64))
-        except OverflowError:  # a seed of 2^64 or more has more than two entropy words
-            pass
-        else:
-            rngs = (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
+    u = np.empty((2, count) + shape)
+    rngs = map(np.random.default_rng, range(seed, seed + count))
+    if count >= _HASH_MIN_SEEDS and seed + count <= 2**64:  # else a seed has > 2 entropy words
+        words = _seed_words(np.arange(count, dtype=np.uint64) + np.uint64(seed))
+        rngs = (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
     for row, rng in enumerate(rngs):
         rng.random(out=u[0, row])
         rng.random(out=u[1, row])
-    return u
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))  # log(1 - u1), safe at u1 = 0
+    return radius * np.exp(2j * np.pi * u[1])
 
 
-def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -> np.ndarray:
-    """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seeds[t]).amps``.
+def sample_haar_stack(dims: "LocalDims | Sequence[int]", seed: int, count: int) -> np.ndarray:
+    """Haar-uniform amplitude rows: row t is ``sample_haar_pure(dims, seed + t).amps``.
 
     One Box-Muller transform and one normalization serve the whole stack.
     Each row is divided by its own norm, so it is a unit vector to roundoff.
     """
     dims = _as_dims(dims)
-    u = _uniform_pairs(seeds, (dims.total_dim,))
-    z = _box_muller(u[0], u[1])
+    seed = int(check_seed(seed))  # a numpy uint64 seed plus the count would wrap
+    check_count("count", count, 0)
+    z = _gaussians(seed, count, (dims.total_dim,))
     # np.linalg.norm of one row: the real and imaginary parts as two dot products
     z /= np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
     return z
@@ -502,7 +496,7 @@ def sample_haar_stack(dims: "LocalDims | Sequence[int]", seeds: Sequence[int]) -
 def sample_haar_pure(dims: "LocalDims | Sequence[int]", seed: int) -> PureState:
     """Haar-uniform pure state: normalized i.i.d. complex Gaussian amplitudes."""
     dims = _as_dims(dims)
-    return PureState._trusted(dims, sample_haar_stack(dims, (check_seed(seed),))[0])
+    return PureState._trusted(dims, sample_haar_stack(dims, seed, 1)[0])
 
 
 def check_seed(seed: int) -> int:
@@ -529,17 +523,18 @@ def check_count(name: str, value: int, minimum: int) -> None:
 
 
 def sample_ginibre_stack(
-    dims: "LocalDims | Sequence[int]", rank: int, seeds: Sequence[int]
+    dims: "LocalDims | Sequence[int]", rank: int, seed: int, count: int
 ) -> np.ndarray:
-    """Ginibre density matrices: matrix t is ``sample_ginibre_mixed(dims, rank, seeds[t]).mat``.
+    """Ginibre density matrices: matrix t is ``sample_ginibre_mixed(dims, rank, seed + t).mat``.
 
-    The rank and each seed are taken as checked.  One Box-Muller transform,
-    one batched ``G G^dag``, one trace division and one hermitization serve
-    the whole stack.
+    One Box-Muller transform, one batched ``G G^dag``, one trace division
+    and one hermitization serve the whole stack.
     """
     dims = _as_dims(dims)
-    u = _uniform_pairs(seeds, (dims.total_dim, rank))
-    g = _box_muller(u[0], u[1])
+    check_rank(dims, rank)
+    seed = int(check_seed(seed))  # a numpy uint64 seed plus the count would wrap
+    check_count("count", count, 0)
+    g = _gaussians(seed, count, (dims.total_dim, rank))
     m = g @ g.conj().swapaxes(1, 2)
     m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return (m + m.conj().swapaxes(1, 2)) / 2.0  # enforce exact Hermiticity against roundoff
@@ -550,7 +545,4 @@ def sample_ginibre_mixed(
 ) -> DensityOperator:
     """Ginibre-induced mixed state G G^dag / tr(G G^dag) with G of shape (D, rank)."""
     dims = _as_dims(dims)
-    check_rank(dims, rank)
-    return DensityOperator._trusted(
-        dims, sample_ginibre_stack(dims, rank, (check_seed(seed),))[0]
-    )
+    return DensityOperator._trusted(dims, sample_ginibre_stack(dims, rank, seed, 1)[0])

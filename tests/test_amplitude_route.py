@@ -62,7 +62,7 @@ def test_bound_evaluate_takes_the_suite_route(dims):
 @pytest.mark.parametrize("dims", [(2, 4, 4), (3, 3, 4), (2, 3, 2, 3)])
 def test_qudit_stacks_equal_the_reference(dims):
     seeds = range(60, 70)
-    amps = sample_haar_stack(dims, seeds)
+    amps = sample_haar_stack(dims, 60, 10)
     assert LocalDims(dims).total_dim >= AMPLITUDE_MIN_DIM
     for got, seed in zip(stack_slacks(dims, amps), seeds):
         assert got == route_slacks(sample_haar_pure(dims, seed))

@@ -185,10 +185,10 @@ def test_sampled_stacks_are_not_checked_again(monkeypatch, dims, mixed):
     ensemble_reports(dims, 8, 3, mixed=mixed)
     assert counts == dict.fromkeys(counts, 0)
     if mixed:
-        suite_stack(dims, sample_ginibre_stack(dims, math.prod(dims), range(3, 11)))
+        suite_stack(dims, sample_ginibre_stack(dims, math.prod(dims), 3, 8))
         assert counts == {**dict.fromkeys(counts, 0), "validate_stack": 1, "cholesky": 1}
     else:
-        suite_stack(dims, sample_haar_stack(dims, range(3, 11)))
+        suite_stack(dims, sample_haar_stack(dims, 3, 8))
         assert counts == {**dict.fromkeys(counts, 0), "validate_rows": 1}
 
 
@@ -534,6 +534,10 @@ CLI_ERRORS = {
     ),
     "sample-negative-seed": (
         ["sample", "--dims", "2,2", "--trials", "2", "--seed", "-1"],
+        "error: seed must be a non-negative integer, got -1",
+    ),
+    "oracle-negative-seed": (
+        ["oracle", "--trials", "2", "--seed", "-1"],
         "error: seed must be a non-negative integer, got -1",
     ),
     "unknown-objective": (

@@ -201,7 +201,7 @@ def test_stack_rows_equal_subset_coherence(dims):
 def test_amplitude_rows_below_the_route_equal_their_projectors(dims):
     dims = LocalDims(dims)
     assert dims.total_dim < AMPLITUDE_MIN_DIM
-    amps = sample_haar_stack(dims, range(30, 37))
+    amps = sample_haar_stack(dims, 30, 7)
     projectors = amps[:, :, None] * amps.conj()[:, None, :]
     rows = coherence_stack(dims, amps)
     assert rows.tobytes() == coherence_stack(dims, projectors).tobytes()
@@ -215,9 +215,9 @@ ROW_REQUESTS = [(6,), (5, 0, 6), (3, 3, 1), (6, 2, 4, 5, 1, 0, 3), ()]
 def test_rows_are_those_rows_of_the_full_call(kind, rows):
     if kind == "amplitude rows":  # five qubits: every third of the 31 rows, 0 the full set
         dims, rows = LocalDims((2,) * 5), tuple(30 - 3 * r for r in rows)
-        states = sample_haar_stack(dims, range(5))
+        states = sample_haar_stack(dims, 0, 5)
     elif kind == "projector rows":
-        dims, states = LocalDims((2, 2, 2)), sample_haar_stack((2, 2, 2), range(5))
+        dims, states = LocalDims((2, 2, 2)), sample_haar_stack((2, 2, 2), 0, 5)
     else:
         dims = LocalDims((2, 2, 2))
         states = np.stack([sample_ginibre_mixed(dims, 1 + s, 60 + s).mat for s in range(5)])
@@ -260,7 +260,7 @@ def test_every_row_has_the_closed_form_on_nonnegative_amplitudes(dims):
     # amplitude rows take the amplitude route from D = 32 on; their
     # projectors, and amplitude rows below D = 32, the density route
     dims = LocalDims(dims)
-    b = np.abs(sample_haar_stack(dims, (7,)))
+    b = np.abs(sample_haar_stack(dims, 7, 1))
     expected = closed_form_rows(dims, b[0])
     assert expected.min() > 0.0
     stacks = [b.astype(complex)]
@@ -366,7 +366,7 @@ def test_correlated_coherence_nonnegative_on_ensembles():
     for dims, name in (((2, 2), "cor1-m1"), ((3, 3), "cor2-m1")):
         d = LocalDims(dims).total_dim
         seeds = range(2500)
-        pure = sample_haar_stack(dims, seeds)
+        pure = sample_haar_stack(dims, 0, len(seeds))
         mixed = np.stack([sample_ginibre_mixed(dims, 1 + s % d, s).mat for s in seeds])
         for stack, is_pure in ((pure, True), (mixed, False)):
             coherence, _, rhs = suite_stack(dims, stack)

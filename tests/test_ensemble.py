@@ -76,20 +76,27 @@ def assert_stack_matches_suite(dims, states, stack):
 def test_haar_stack_rows_equal_single_samples():
     # the per-seed sampler: Box-Muller on one generator, then np.linalg.norm
     for dims in [(2, 2, 2), *WIDE_DIMS, (2,) * 8]:
-        stack = sample_haar_stack(dims, range(30, 36))
+        stack = sample_haar_stack(dims, 30, 6)
         for row, seed in zip(stack, range(30, 36)):
             z = complex_normals(np.random.default_rng(seed), LocalDims(dims).total_dim)
             assert np.array_equal(row, z / np.linalg.norm(z))
             assert np.array_equal(row, sample_haar_pure(dims, seed).amps)
 
 
+def test_numpy_uint64_seed_near_two_to_the_64_equals_the_python_int_run():
+    seed = 2**64 - 3  # the six trials straddle 2^64
+    got = ensemble_reports((2, 2, 2), 6, np.uint64(seed))
+    assert got == ensemble_reports((2, 2, 2), 6, seed)
+    assert all(type(r.argmin_seed) is int and r.argmin_seed >= seed for r in got)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), *WIDE_DIMS])
 def test_pure_stack_equals_run_suite(dims):
     seeds = range(500, 540)
     states = [sample_haar_pure(dims, s) for s in seeds]
-    assert_stack_matches_suite(dims, states, sample_haar_stack(dims, seeds))
+    assert_stack_matches_suite(dims, states, sample_haar_stack(dims, 500, 40))
     # a one-row stack takes the same sums as a wide one
-    assert_stack_matches_suite(dims, states[:1], sample_haar_stack(dims, seeds[:1]))
+    assert_stack_matches_suite(dims, states[:1], sample_haar_stack(dims, 500, 1))
 
 
 @pytest.mark.parametrize("rank", range(1, 9))

@@ -473,7 +473,7 @@ def _constructor_message(dims, amps) -> str:
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2,) * 5], ids=str)  # D < 32 and D >= 32
 @pytest.mark.parametrize("fault", list(NOT_UNIT_ROWS))
 def test_suite_stack_rejects_rows_that_are_not_states(dims, fault):
-    good = sample_haar_stack(dims, range(5))
+    good = sample_haar_stack(dims, 0, 5)
     bad = NOT_UNIT_ROWS[fault](good[1])
     with pytest.raises(InvalidStateError) as exc:
         suite_stack(dims, bad[None])
@@ -493,7 +493,7 @@ WRONG_SHAPES = {
     "not-square": _GHZ[None, :, :4],  # numpy: operands could not be broadcast
     "extra-axis": _GHZ[None, None],  # numpy: the truth value of an array is ambiguous
     "one-amplitude-row": ghz_state(np.pi / 4).amps,
-    "rows-of-other-dims": sample_haar_stack((2, 2), range(3)),
+    "rows-of-other-dims": sample_haar_stack((2, 2), 0, 3),
 }
 #: Each public function that takes a stack of states at ``dims``
 STACK_ENTRY_POINTS = {
@@ -502,7 +502,7 @@ STACK_ENTRY_POINTS = {
     "Bound.residual": lambda dims, states: bounds(dims, pure=False)[0].residual(states),
 }
 #: Six-qubit rows at five qubits, whose first 32 amplitudes a kernel could read as a state
-SIX_QUBIT_ROWS = (LocalDims((2,) * 5), sample_haar_stack((2,) * 6, range(2)))
+SIX_QUBIT_ROWS = (LocalDims((2,) * 5), sample_haar_stack((2,) * 6, 0, 2))
 
 
 def _wrong_shape_cases():

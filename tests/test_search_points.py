@@ -21,12 +21,12 @@ def test_best_state_is_the_normalized_point():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_point_raises_the_constructor_message(monkeypatch, value):
-    def starts(u1, u2):  # stands in for the Box-Muller transform of the restarts' uniforms
-        z = np.ones(u1.shape, dtype=complex)
+    def starts(seed, count, shape):  # stands in for the restarts' Gaussian draw
+        z = np.ones((count,) + shape, dtype=complex)
         z[:, 3] = value
         return z
 
-    monkeypatch.setattr(search, "_box_muller", starts)
+    monkeypatch.setattr(search, "_gaussians", starts)
     with pytest.raises(InvalidStateError, match="every amplitude entry must be finite"):
         minimize_slack("thm1", (2, 2, 2), restarts=1, seed=0, iterations=5, rounds=1)
 
@@ -54,3 +54,12 @@ def test_restart_r_starts_from_its_own_seed(monkeypatch, dims, objective, restar
     for r, x0 in enumerate(starts):
         z = complex_normals(np.random.default_rng(seed + r), d)
         assert np.array_equal(x0, np.concatenate([z.real, z.imag])), r
+
+
+def test_numpy_uint64_seed_near_two_to_the_64_searches_as_a_python_int():
+    # a numpy uint64 seed plus the restarts wrapped, and the search died on a None state
+    seed = 2**64 - 2
+    got = minimize_slack("thm1", (2, 2, 2), 3, np.uint64(seed), 2, 1)
+    want = minimize_slack("thm1", (2, 2, 2), 3, seed, 2, 1)
+    assert (got.best_value, got.evaluations, got.seed) == (want.best_value, want.evaluations, seed)
+    assert got.best_state.amps.tobytes() == want.best_state.amps.tobytes()

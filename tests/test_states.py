@@ -29,7 +29,8 @@ from cohtrade.coherence import _row_keeps, coherence_stack, l1_coherence_stack, 
 from cohtrade.coherence import stack_subsets
 from cohtrade.families import _amplitudes
 from cohtrade.inequalities import chunk_states
-from cohtrade.states import _reduce, _reduction_plan, sample_ginibre_stack, sample_haar_stack
+from cohtrade.states import _HASH_MIN_SEEDS, _reduce, _reduction_plan
+from cohtrade.states import sample_ginibre_stack, sample_haar_stack
 from cohtrade.states import validate_rows, validate_stack
 
 from conftest import complex_normals, kron, random_hermitian
@@ -281,8 +282,8 @@ def test_sampled_and_derived_states_pass_the_checks(dims, ranks):
     # ensemble_reports evaluates sampled stacks without these checks
     seeds = range(8 if len(dims) == 8 else 64)
     for rank in ranks:
-        validate_stack(sample_ginibre_stack(dims, rank, seeds))
-    validate_rows(sample_haar_stack(dims, seeds))
+        validate_stack(sample_ginibre_stack(dims, rank, 0, len(seeds)))
+    validate_rows(sample_haar_stack(dims, 0, len(seeds)))
     validate_stack(np.stack([density_from_pure(sample_haar_pure(dims, s)).mat for s in seeds]))
     n = len(dims)
     for seed in seeds:
@@ -450,9 +451,9 @@ def reduction_stack(dims, kind, batch):
     """
     d = math.prod(dims)
     if kind == "projector":
-        amps = sample_haar_stack(dims, range(40, 40 + batch))
+        amps = sample_haar_stack(dims, 40, batch)
         return amps[:, :, None] * amps.conj()[:, None, :], amps
-    mats = sample_ginibre_stack(dims, 1 if kind == "rank 1" else d, range(50, 50 + batch))
+    mats = sample_ginibre_stack(dims, 1 if kind == "rank 1" else d, 50, batch)
     return mats, mats
 
 
@@ -688,7 +689,7 @@ def test_ginibre_samples_are_pinned(case):
     for seed in range(seeds):
         singles.update(sample_ginibre_mixed(dims, rank, seed).mat.tobytes())
     assert singles.hexdigest()[:16] == digest
-    stack = sample_ginibre_stack(dims, rank, range(seeds))
+    stack = sample_ginibre_stack(dims, rank, 0, seeds)
     assert hashlib.sha256(stack.tobytes()).hexdigest()[:16] == digest
 
 
@@ -696,7 +697,7 @@ def test_ginibre_samples_are_pinned(case):
     "dims, rank", [((2, 2, 2), 1), ((2, 2, 2), 4), ((2, 2, 2), 8), ((2, 3, 4), 5), ((2,) * 5, 32)]
 )
 def test_ginibre_stack_rows_equal_per_seed_formula(dims, rank):
-    stack = sample_ginibre_stack(dims, rank, range(40, 56))
+    stack = sample_ginibre_stack(dims, rank, 40, 16)
     assert stack.shape == (16,) + (math.prod(dims),) * 2
     for mat, seed in zip(stack, range(40, 56)):
         assert mat.tobytes() == ginibre_by_seed(dims, rank, seed).tobytes()
@@ -704,11 +705,12 @@ def test_ginibre_stack_rows_equal_per_seed_formula(dims, rank):
 
 def test_ginibre_row_does_not_depend_on_its_neighbours():
     alone = sample_ginibre_mixed((2, 2, 2), 3, 7).mat.tobytes()
-    for seeds in ([7], [7, 8, 9], [0, 7], [5, 6, 1, 2, 7], [7] * 4):
-        stack = sample_ginibre_stack((2, 2, 2), 3, seeds)
-        for mat, seed in zip(stack, seeds):
-            assert (mat.tobytes() == alone) == (seed == 7)
-    assert sample_ginibre_stack((2, 2, 2), 3, []).shape == (0, 8, 8)
+    # seed 7 first, inside and last, in ranges below and at the hash cutoff
+    for seed, count in ((7, 1), (7, 3), (6, 2), (3, 5), (0, 8)):
+        stack = sample_ginibre_stack((2, 2, 2), 3, seed, count)
+        for t, mat in enumerate(stack):
+            assert (mat.tobytes() == alone) == (seed + t == 7)
+    assert sample_ginibre_stack((2, 2, 2), 3, 7, 0).shape == (0, 8, 8)
 
 
 def test_ginibre_checks_rank_before_seed():
@@ -716,6 +718,76 @@ def test_ginibre_checks_rank_before_seed():
         sample_ginibre_mixed((2, 2, 2), 9, -1)
     with pytest.raises(ValueError, match="^rank must be an integer, got 2.0$"):
         sample_ginibre_mixed((2, 2, 2), 2.0, "1")
+
+
+STACK_SAMPLERS = {
+    "haar": lambda seed, count, rank: sample_haar_stack((2, 2, 2), seed, count),
+    "ginibre": lambda seed, count, rank: sample_ginibre_stack((2, 2, 2), rank, seed, count),
+}
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """The seeds of the generators the samplers build: by ``default_rng`` or, hashed, by PCG64."""
+    built = []
+    for name in ("default_rng", "PCG64"):
+
+        def counted(seed, make=getattr(np.random, name)):
+            built.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("count", [1, _HASH_MIN_SEEDS])
+@pytest.mark.parametrize("seed", [1.5, True, -1, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("sampler", list(STACK_SAMPLERS))
+def test_stack_samplers_reject_a_bad_seed_before_drawing(generators, sampler, seed, count):
+    # when the samplers took a list of seeds, [1.5] * 5 (and [True] * 5) drew seed 1's
+    # rows: the uint64 cast of the hash path truncated them, unchecked
+    with pytest.raises(ValueError) as exc:
+        STACK_SAMPLERS[sampler](seed, count, 3)
+    assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+    assert generators == []
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [(-1, "count must be >= 0, got -1"), (2.0, "count must be an integer, got 2.0"),
+     (True, "count must be an integer, got True")],
+    ids=["-1", "2.0", "True"],
+)
+@pytest.mark.parametrize("sampler", list(STACK_SAMPLERS))
+def test_stack_samplers_reject_a_bad_count_before_drawing(generators, sampler, count, message):
+    with pytest.raises(ValueError) as exc:
+        STACK_SAMPLERS[sampler](0, count, 3)
+    assert str(exc.value) == message
+    assert generators == []
+
+
+@pytest.mark.parametrize("count", [1, _HASH_MIN_SEEDS])
+@pytest.mark.parametrize(
+    "rank, message",
+    [(0, "rank must be in 1..8, got 0"), (9, "rank must be in 1..8, got 9"),
+     (2.0, "rank must be an integer, got 2.0")],
+    ids=["0", "D+1", "2.0"],
+)
+def test_ginibre_stack_rejects_a_bad_rank_before_drawing(generators, rank, message, count):
+    # rank 0 gave NaN matrices: G G^dag / tr of an empty G
+    with pytest.raises(ValueError) as exc:
+        STACK_SAMPLERS["ginibre"](0, count, rank)
+    assert str(exc.value) == message
+    assert generators == []
+
+
+def test_stack_samplers_build_one_generator_per_seed(generators):
+    # the counting fixture sees both paths, so its empty lists above mean something
+    for count in (1, _HASH_MIN_SEEDS):
+        for sampler in STACK_SAMPLERS.values():
+            generators.clear()
+            sampler(0, count, 3)
+            assert len(generators) == count
 
 
 SEED_ENTRY_POINTS = {

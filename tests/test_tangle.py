@@ -166,7 +166,7 @@ ORACLE_ATOL = 4.4e-16
 
 
 def test_stacked_oracle_matches_per_state_reference():
-    amps = sample_haar_stack(THREE_QUBITS, range(4096))
+    amps = sample_haar_stack(THREE_QUBITS, 0, 4096)
     reference = [reference_ckw_tangle(PureState(THREE_QUBITS, row)) for row in amps]
     stacked = ckw_tangle_oracle_stack(amps)
     assert stacked.shape == (4096,) and stacked.dtype == np.float64
@@ -247,7 +247,7 @@ def test_dprime_rejects_wrong_dims():
 def test_stacked_tangle_equals_scalar_formula():
     # 10^4 Haar states, stacked whole and in small stacks (a one-row stack
     # must fold its terms in the same order as a wide one)
-    amps = sample_haar_stack(THREE_QUBITS, range(10_000))
+    amps = sample_haar_stack(THREE_QUBITS, 0, 10_000)
     reference = [three_tangle(PureState(THREE_QUBITS, row)) for row in amps]
     assert three_tangle_stack(amps).tolist() == reference
     for start, size in ((0, 1), (17, 2), (40, 3), (123, 8)):
@@ -274,7 +274,7 @@ def test_stacked_tangle_of_empty_stack():
 
 
 def test_stacked_tangle_takes_real_rows_and_views():
-    amps = sample_haar_stack(THREE_QUBITS, range(64))
+    amps = sample_haar_stack(THREE_QUBITS, 0, 64)
     real = np.ascontiguousarray(amps.real)
     assert three_tangle_stack(real).tolist() == three_tangle_stack(real.astype(complex)).tolist()
     view = amps[::3]
